@@ -220,8 +220,14 @@ class CentralizedNode(Node):
         store = self.stores.get(LOCAL)
         if store is None:
             return
+        scope = self.arrival_scope(event)
         for operator, matcher in store.matched_for_sensor(event.sensor_id, False):
-            if matcher is not None:
+            if scope is not None:
+                own = scope.get(matcher)
+                if own is None:
+                    continue  # no slot accepts the arrival
+                participants = matcher.matches_involving(event, own)
+            elif matcher is not None:
                 participants = matcher.matches_involving(event)
             else:
                 participants = self.matches_involving(operator, event)

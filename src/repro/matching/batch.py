@@ -24,14 +24,21 @@ Layout per group:
 ``timestamps`` / ``values``
     float64 numpy columns mirroring ``entries``, synced lazily
     (incremental tail append while in order, full rebuild after an
-    out-of-order sort or a drop).  ``searchsorted`` on the timestamp
-    column replaces per-slot bisects; interval masks over the value
-    column replace per-slot filter evaluation.
+    out-of-order sort or a drop).  Interval masks over the value column
+    replace per-slot filter evaluation when an out-of-order arrival
+    needs them, and the oracle probes ``searchsorted`` the timestamp
+    column.
 
 ``lanes``
     One :class:`Lane` per distinct interval, refcounted.  Storage
     admission is gated by the *hull* — the union of live lane
     intervals — so the group never stores events no sharer can see.
+
+``max_timestamp`` / ``lane_newest``
+    The newest stored timestamp, overall and per lane (over the entries
+    the lane accepts), kept up to date on every add.  While no entry is
+    newer than an arrival, they decide each lane's window bits exactly
+    with no span and no mask (see ``_GroupPlan.vec_bits``).
 
 Sharing decisions reuse :meth:`repro.subsumption.setfilter.
 ProbabilisticSetFilter.decide`: a newly admitted interval that is
@@ -90,7 +97,9 @@ class SharedTimeline:
         "version",
         "max_delta_t",
         "min_timestamp",
+        "max_timestamp",
         "lanes",
+        "lane_newest",
         "lane_los",
         "lane_his",
         "_entries",
@@ -113,7 +122,16 @@ class SharedTimeline:
         #: costs a few comparisons, never correctness).
         self.max_delta_t = 0.0
         self.min_timestamp = _INF
+        #: Newest stored timestamp (``-inf`` when empty); an upper bound
+        #: of every lane's newest (stored events may outlive their lane).
+        self.max_timestamp = -_INF
         self.lanes: list[Lane] = []
+        #: Per lane, the newest timestamp among stored entries the lane
+        #: accepts (``-inf`` for none).  Exact above the expiry horizon:
+        #: a value at or below the last :meth:`drop_until` horizon may
+        #: name a dropped entry, and then the lane holds nothing visible.
+        #: ``None`` while the group has no lanes.
+        self.lane_newest: np.ndarray | None = None
         self.lane_los: np.ndarray | None = None
         self.lane_his: np.ndarray | None = None
         self._entries: list[Entry] = []
@@ -136,8 +154,16 @@ class SharedTimeline:
         if entries and not self._dirty and entry < entries[-1]:
             self._dirty = True
         entries.append(entry)
-        if event.timestamp < self.min_timestamp:
-            self.min_timestamp = event.timestamp
+        timestamp = event.timestamp
+        if timestamp < self.min_timestamp:
+            self.min_timestamp = timestamp
+        if timestamp > self.max_timestamp:
+            self.max_timestamp = timestamp
+        newest = self.lane_newest
+        if newest is not None:
+            value = event.value
+            accepts = (value >= self.lane_los) & (value <= self.lane_his)
+            newest[accepts & (newest < timestamp)] = timestamp
         self.version += 1
 
     def entries(self) -> list[Entry]:
@@ -206,6 +232,10 @@ class SharedTimeline:
             self.min_timestamp = (
                 min(entry[0] for entry in entries) if entries else _INF
             )
+            self.max_timestamp = (
+                max(entry[0] for entry in entries) if entries else -_INF
+            )
+            self._recompute_newest()
             self.version += 1
         return dropped
 
@@ -217,7 +247,15 @@ class SharedTimeline:
             return 0
         del entries[:cut]
         self._synced = 0
-        self.min_timestamp = entries[0][0] if entries else _INF
+        if entries:
+            # The cut is a sorted prefix, so the newest entries survive;
+            # a lane emptied by it keeps a newest at or below ``horizon``.
+            self.min_timestamp = entries[0][0]
+        else:
+            self.min_timestamp = _INF
+            self.max_timestamp = -_INF
+            if self.lane_newest is not None:
+                self.lane_newest.fill(-_INF)
         self.version += 1
         return cut
 
@@ -300,6 +338,21 @@ class SharedTimeline:
                 hull.append(lo)
                 hull.append(hi)
         self._hull = hull
+        self._recompute_newest()
+
+    def _recompute_newest(self) -> None:
+        """Rebuild :attr:`lane_newest` from the stored entries (lane or
+        fence changes; event adds update it incrementally)."""
+        los = self.lane_los
+        if los is None:
+            self.lane_newest = None
+            return
+        ts, vals, n = self.sync()
+        if not n:
+            self.lane_newest = np.full(len(los), -_INF)
+            return
+        accepted = (vals[:n] >= los[:, None]) & (vals[:n] <= self.lane_his[:, None])
+        self.lane_newest = np.where(accepted, ts[:n], -_INF).max(axis=1)
 
     def hull_accepts(self, value: float) -> bool:
         """Whether any live lane's interval contains ``value``."""

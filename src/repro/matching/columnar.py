@@ -14,13 +14,15 @@ Organisation (see :mod:`repro.matching.batch` for the storage):
   distinct filter interval one lane.  The benchmark workload's 1000+
   operators collapse to ~10 groups of ~100 lanes.
 
-* Per arriving event the engine builds one *arrival plan*: a single
-  ``searchsorted`` span over the group's timestamp column and one
-  broadcast mask matrix (lanes x span) over its value column.  Every
-  operator registered on the sensor is then answered from vectorised
-  per-lane aggregate bits (window non-empty, later triggers present)
-  plus memoised masked window materialisations shared across all
-  operators with the same (lane, delta_t).
+* Per arriving event the engine builds one *arrival plan*: per group,
+  vectorised per-lane aggregate bits (window non-empty, later triggers
+  present) from which every operator registered on the sensor is
+  answered, plus memoised window materialisations shared across all
+  operators with the same (lane, delta_t).  While nothing stored is
+  newer than the arrival (in-order delivery) the bits come straight
+  from the group's per-lane newest timestamps; otherwise from one
+  broadcast mask matrix (lanes x span) over the group's value column.
+  Windows are materialised by a list scan over the bisected span.
 
 * The in-order fast path mirrors the incremental matcher's; anything
   involving late triggers or finite ``delta_l`` materialises the masked
@@ -64,9 +66,9 @@ class _GroupPlan:
     """Per-arrival vectorised evaluation state for one group.
 
     Built once per (engine version, arriving event, group) and shared
-    by every operator with a slot in the group: one candidate span over
-    the widest registered ``delta_t``, one lanes x span mask matrix,
-    then per-``delta_t`` aggregate bits and memoised window lists.
+    by every operator with a slot in the group: per ``delta_t`` one
+    bisected candidate span, aggregate bits (a lanes x span mask only
+    for out-of-order arrivals) and memoised window lists.
     """
 
     __slots__ = (
@@ -85,11 +87,14 @@ class _GroupPlan:
         self.group = group
         self.t0 = event.timestamp
         self.horizon = horizon
-        self.entries = group.entries()
-        ts, vals, n = group.sync()
-        self.ts = ts
-        self.vals = vals
-        self.n = n
+        # Entries load on the first span, columns on the first mask:
+        # in-order arrivals decide their window bits from the newest
+        # timestamps alone (vec_bits), and the windows they materialise
+        # are a few entries a list scan filters faster than a mask.
+        self.entries: list | None = None
+        self.ts: np.ndarray | None = None
+        self.vals: np.ndarray | None = None
+        self.n = 0
         # One memo dict for everything keyed per (kind, delta_t[, lane]):
         # plans are built for every candidate group of every arrival, so
         # construction cost is the hot path — state is computed lazily.
@@ -107,15 +112,16 @@ class _GroupPlan:
         found = self._cache.get(delta_t)
         if found is not None:
             return found
+        entries = self.entries
+        if entries is None:
+            entries = self.entries = self.group.entries()
         t0 = self.t0
         after = t0 - delta_t
         if after < self.horizon:
             after = self.horizon
-        head = self.ts[: self.n]
-        ab = head.searchsorted((after, t0), side="right")
-        a2 = int(ab[0])
-        b2 = int(ab[1])
-        c2 = int(head.searchsorted(t0 + delta_t, side="left"))
+        a2 = bisect_right(entries, (after, _INF))
+        b2 = bisect_right(entries, (t0, _INF), lo=a2)
+        c2 = bisect_left(entries, (t0 + delta_t,), lo=b2)
         span = (a2, b2, c2)
         self._cache[delta_t] = span
         return span
@@ -123,15 +129,18 @@ class _GroupPlan:
     def submask(self, delta_t: float) -> "np.ndarray | None":
         """Lanes x span acceptance matrix over ``(t0 - dt, t0 + dt)``.
 
-        Built lazily per ``delta_t`` (uniform-width workloads pay one
-        broadcast per group per arrival); ``None`` when the span is
-        empty or the group has no lanes left.
+        Built lazily per ``delta_t``, only when an entry newer than the
+        arrival makes the newest-timestamp bits inexact (see
+        :meth:`vec_bits`); ``None`` when the span is empty or the group
+        has no lanes left.
         """
         key = ("m", delta_t)
         found = self._cache.get(key, _UNSET)
         if found is _UNSET:
             a2, _b2, c2 = self.span(delta_t)
             los = self.group.lane_los
+            if self.ts is None:
+                self.ts, self.vals, self.n = self.group.sync()
             if c2 > a2 and los is not None:
                 segment = self.vals[a2:c2]
                 found = (segment >= los[:, None]) & (
@@ -152,6 +161,20 @@ class _GroupPlan:
         key = ("v", delta_t)
         found = self._cache.get(key)
         if found is None:
+            group = self.group
+            t0 = self.t0
+            if group.max_timestamp <= t0 and group.lane_newest is not None:
+                # Nothing stored is newer than the arrival: no lane has a
+                # later trigger, and a lane's window (after, t0] is
+                # non-empty iff its newest accepted entry lies past
+                # ``after`` — exact with no searchsorted and no mask.
+                after = t0 - delta_t
+                if after < self.horizon:
+                    after = self.horizon
+                newest = group.lane_newest
+                found = (newest > after, np.zeros(len(newest), dtype=bool))
+                self._cache[key] = found
+                return found
             mask = self.submask(delta_t)
             if mask is None:
                 zeros = np.zeros(len(self.group.lanes), dtype=bool)
@@ -208,19 +231,21 @@ class _GroupPlan:
         a2, b2, _c2 = self.span(delta_t)
         if not a2 <= pos < b2:
             return False
-        mask = self.submask(delta_t)
-        return mask is not None and bool(mask[lane.index, pos - a2])
+        return lane.lo <= self.entries[pos][3].value <= lane.hi
 
     def later_triggers(self, lane: Lane, delta_t: float) -> list[float]:
         """Timestamps of accepted events strictly inside ``(t0, t0 + dt)``."""
         key = ("l", lane.index, delta_t)
         found = self._cache.get(key)
         if found is None:
-            a2, b2, _c2 = self.span(delta_t)
-            row = self.submask(delta_t)[lane.index]
-            offsets = row[b2 - a2 :].nonzero()[0].tolist()
-            ts = self.ts
-            found = [float(ts[b2 + j]) for j in offsets]
+            _a2, b2, c2 = self.span(delta_t)
+            lo = lane.lo
+            hi = lane.hi
+            found = [
+                entry[0]
+                for entry in self.entries[b2:c2]
+                if lo <= entry[3].value <= hi
+            ]
             self._cache[key] = found
         return found
 
@@ -235,10 +260,13 @@ class _GroupPlan:
         found = self._cache.get(key)
         if found is None:
             a2, b2, _c2 = self.span(delta_t)
-            row = self.submask(delta_t)[lane.index]
-            offsets = row[: b2 - a2].nonzero()[0].tolist()
-            entries = self.entries
-            found = [entries[a2 + j][3] for j in offsets]
+            lo = lane.lo
+            hi = lane.hi
+            found = [
+                entry[3]
+                for entry in self.entries[a2:b2]
+                if lo <= entry[3].value <= hi
+            ]
             _sort_if_tied(found)
             self._cache[key] = found
         return found
@@ -248,38 +276,31 @@ class _GroupPlan:
     ) -> list[SimpleEvent]:
         """Distinct events across the given lanes' arrival windows.
 
-        The forwarding hot path: one OR over the participating lanes'
-        mask rows (grouped by ``delta_t``, so uniform-width workloads
-        pay a single reduction) and one materialisation per group —
-        instead of one list per operator slot.  Order is irrelevant:
-        the per-link forwarding loop re-sorts its outgoing set by key.
+        The forwarding hot path: one scan per ``delta_t`` over the
+        arrival window, keeping entries any participating lane accepts
+        — one materialisation per group instead of one list per
+        operator slot.  Order is irrelevant: the per-link forwarding
+        loop re-sorts its outgoing set by key.
         """
         if len(lane_dts) == 1:
             lane, delta_t = lane_dts[0]
             return self.window_members(lane, delta_t)
-        by_dt: dict[float, list[int]] = {}
+        by_dt: dict[float, list[tuple[float, float]]] = {}
         for lane, delta_t in lane_dts:
-            by_dt.setdefault(delta_t, []).append(lane.index)
+            by_dt.setdefault(delta_t, []).append((lane.lo, lane.hi))
         out: list[SimpleEvent] = []
-        entries = self.entries
-        for delta_t, indices in by_dt.items():
-            mask = self.submask(delta_t)
-            if mask is None:
-                continue
+        for delta_t, bounds in by_dt.items():
             a2, b2, _c2 = self.span(delta_t)
-            rb = b2 - a2
-            if rb <= 0:
-                continue
-            if len(indices) == 1:
-                union = mask[indices[0], :rb]
-            else:
-                union = mask[indices, :rb].any(axis=0)
-            for j in union.nonzero()[0].tolist():
-                out.append(entries[a2 + j][3])
+            for entry in self.entries[a2:b2]:
+                value = entry[3].value
+                for lo, hi in bounds:
+                    if lo <= value <= hi:
+                        out.append(entry[3])
+                        break
         return out
 
     def filtered_entries(self, lane: Lane, delta_t: float) -> list:
-        """Masked entry tuples over ``(t0 - dt, t0 + dt)`` for the sweeps.
+        """Accepted entry tuples over ``(t0 - dt, t0 + dt)`` for the sweeps.
 
         This *is* the slice of the per-slot timeline the incremental
         matcher's sweep pointers ever touch, so handing it to the shared
@@ -288,11 +309,14 @@ class _GroupPlan:
         key = ("f", lane.index, delta_t)
         found = self._cache.get(key)
         if found is None:
-            a2, _b2, _c2 = self.span(delta_t)
-            row = self.submask(delta_t)[lane.index]
-            offsets = row.nonzero()[0].tolist()
-            entries = self.entries
-            found = [entries[a2 + j] for j in offsets]
+            a2, _b2, c2 = self.span(delta_t)
+            lo = lane.lo
+            hi = lane.hi
+            found = [
+                entry
+                for entry in self.entries[a2:c2]
+                if lo <= entry[3].value <= hi
+            ]
             self._cache[key] = found
         return found
 
@@ -1078,35 +1102,42 @@ class ColumnarEngine:
             parts.append(group_plans[group_id].union_members(lane_dts))
         return chain.from_iterable(parts)
 
-    def delivered_members(
-        self, matcher: ColumnarMatcher, event: SimpleEvent
-    ) -> "Iterable[SimpleEvent] | None":
-        """Participants for local delivery, or None on no match.
+    def matched_members(
+        self, pairs: Iterable[tuple], event: SimpleEvent
+    ) -> Iterator[tuple[object, "Iterable[SimpleEvent]"]]:
+        """``(key, participants)`` for each matching ``(key, matcher)`` pair.
 
-        Single-use iterable: the fast path chains the *shared* memoised
-        window lists without copying them — the delivery log consumes
-        the chain once and dedups members by key.
+        The local-delivery path: one verdict pass for the arrival answers
+        every pair, in input order; pairs whose operator cannot match are
+        skipped without touching the matcher.  Participant iterables are
+        single-use — the fast path chains the *shared* memoised window
+        lists without copying them, and the delivery log consumes the
+        chain once and dedups members by key.
         """
         verdicts = self._verdicts_for(event)
         fast = verdicts.fast
-        if fast is not None:
-            row = verdicts.index.rows.get(matcher, -1)
+        slow = verdicts.slow
+        rows = verdicts.index.rows
+        for key, matcher in pairs:
+            row = rows.get(matcher, -1) if fast is not None else -1
             if row >= 0:
                 if fast[row]:
                     lists = self._fast_lists(verdicts, row)
-                    if len(lists) == 1:
-                        return lists[0]
-                    return chain.from_iterable(lists)
-                if not verdicts.slow[row]:
-                    return None
-        result = matcher._compute_lists(event)
-        # An empty sweep dict means no match — a real match always
-        # contains the arrival itself, so flat-empty cannot be a match.
-        if not result:
-            return None
-        if isinstance(result, dict):
-            return chain.from_iterable(result.values())
-        return chain.from_iterable(result)
+                    yield key, (
+                        lists[0] if len(lists) == 1 else chain.from_iterable(lists)
+                    )
+                    continue
+                if not slow[row]:
+                    continue
+            result = matcher._compute_lists(event)
+            # An empty sweep dict means no match — a real match always
+            # contains the arrival itself, so flat-empty cannot be a match.
+            if not result:
+                continue
+            if isinstance(result, dict):
+                yield key, chain.from_iterable(result.values())
+            else:
+                yield key, chain.from_iterable(result)
 
     def _fast_lists(
         self, verdicts: _Verdicts, row: int
@@ -1141,10 +1172,9 @@ class ColumnarEngine:
         if matched_rows is None:
             # Degenerate arrival (expired or nothing registered): the
             # per-matcher fallback answers correctly and cheaply.
-            for matcher in index.rows:
-                members = self.delivered_members(matcher, event)
-                if members is not None:
-                    yield matcher, members
+            yield from self.matched_members(
+                ((matcher, matcher) for matcher in index.rows), event
+            )
             return
         fast = verdicts.fast
         matchers = index.matchers_by_row

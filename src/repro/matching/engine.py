@@ -166,16 +166,25 @@ class OperatorMatcher:
     # ------------------------------------------------------------------
     # query path
     # ------------------------------------------------------------------
-    def matches_involving(self, event: SimpleEvent) -> dict[str, list[SimpleEvent]]:
+    def matches_involving(
+        self, event: SimpleEvent, own: int | None = None
+    ) -> dict[str, list[SimpleEvent]]:
         """Participants of every match ``event`` takes part in.
 
         Same contract as the reference
-        :func:`repro.model.matching.matches_involving`.  (An earlier
-        revision memoised per (store version, event key); in tree
-        overlays an operator lives in exactly one per-origin store, so
-        the cache never hit and only cost its bookkeeping.)
+        :func:`repro.model.matching.matches_involving`.  ``own`` is the
+        index of the first slot accepting ``event`` when the caller
+        already knows it (the engine's arrival scope records it at
+        ingest); otherwise the slot filters are tested here.  (An
+        earlier revision memoised per (store version, event key); in
+        tree overlays an operator lives in exactly one per-origin store,
+        so the cache never hit and only cost its bookkeeping.)
         """
-        return self._compute(event)
+        if own is None:
+            own = self._own_slot_index(event)
+            if own is None:
+                return {}
+        return self._compute(event, own)
 
     def instance_exists(self, trigger: SimpleEvent) -> bool:
         """Does a match with maximum member ``trigger`` exist?
@@ -257,10 +266,7 @@ class OperatorMatcher:
                 return index
         return None
 
-    def _compute(self, event: SimpleEvent) -> dict[str, list[SimpleEvent]]:
-        own = self._own_slot_index(event)
-        if own is None:
-            return {}
+    def _compute(self, event: SimpleEvent, own: int) -> dict[str, list[SimpleEvent]]:
         t0 = event.timestamp
         # Expiry is a query-time *clamp*, exactly like the store's own
         # views: entries at or below the horizon are invisible whether
@@ -272,6 +278,13 @@ class OperatorMatcher:
         after = t0 - delta_t
         if after < horizon:
             after = horizon
+        # A slot whose newest entry is at or before ``after`` has an empty
+        # window for every candidate trigger — exactly the case where the
+        # first bisect below finds nothing — so reject it in O(1) before
+        # any timeline is sorted or searched.
+        for timeline in self._timelines:
+            if timeline.max_timestamp <= after:
+                return {}
         before = t0 + delta_t
         # One fused pass per slot: completeness pre-check, candidate
         # triggers, and the sweep's seed pointers, three bisects each.
@@ -488,17 +501,17 @@ class _StabbingIndex:
     __slots__ = ("_registrations", "_dirty", "_by_attr")
 
     def __init__(self) -> None:
-        # (attribute, lo, hi, timeline, matcher); rebuilt lazily into
-        # per-attribute (bounds, segments) on the first event after a
-        # registration.
+        # (attribute, lo, hi, timeline, matcher, slot index); rebuilt
+        # lazily into per-attribute (bounds, segments) on the first event
+        # after a registration.
         self._registrations: list[tuple] = []
         self._dirty = False
         self._by_attr: dict[str, tuple[list[float], list[tuple]]] = {}
 
-    def add(self, attribute, interval, timeline, matcher) -> None:
+    def add(self, attribute, interval, timeline, matcher, slot: int) -> None:
         if interval.lo <= interval.hi:  # empty filters accept nothing
             self._registrations.append(
-                (attribute, interval.lo, interval.hi, timeline, matcher)
+                (attribute, interval.lo, interval.hi, timeline, matcher, slot)
             )
             self._dirty = True
 
@@ -513,7 +526,11 @@ class _StabbingIndex:
         return bool(self._registrations)
 
     def targets(self, attribute: str, value: float) -> tuple:
-        """(timeline, matcher) pairs whose slot accepts ``value``."""
+        """(timeline, matcher, slot index) of every slot accepting ``value``.
+
+        A matcher's registrations are added in slot order, so within one
+        segment its first payload names its first accepting slot.
+        """
         if self._dirty:
             self._rebuild()
         entry = self._by_attr.get(attribute)
@@ -528,17 +545,16 @@ class _StabbingIndex:
     def _rebuild(self) -> None:
         self._dirty = False
         groups: dict[str, list[tuple]] = {}
-        for attribute, lo, hi, timeline, matcher in self._registrations:
-            groups.setdefault(attribute, []).append((lo, hi, timeline, matcher))
+        for attribute, lo, hi, *payload in self._registrations:
+            groups.setdefault(attribute, []).append((lo, hi, tuple(payload)))
         by_attr: dict[str, tuple[list[float], list[tuple]]] = {}
         for attribute, regs in groups.items():
-            bounds = sorted({x for lo, hi, _t, _m in regs for x in (lo, hi)})
+            bounds = sorted({x for lo, hi, _p in regs for x in (lo, hi)})
             # segment 2j+1 = the point [bounds[j]];
             # segment 2j   = the open range (bounds[j-1], bounds[j])
             # (2·0 and 2·len(bounds) lie outside every registration).
             segments: list[list] = [[] for _ in range(2 * len(bounds) + 1)]
-            for lo, hi, timeline, matcher in regs:
-                payload = (timeline, matcher)
+            for lo, hi, payload in regs:
                 first = bisect_left(bounds, lo)  # bounds[first] == lo
                 last = bisect_left(bounds, hi)  # bounds[last] == hi
                 for j in range(first, last + 1):
@@ -555,7 +571,15 @@ class MatchingEngine:
     One engine serves every operator a node stores, across all
     per-origin subscription stores: matchers are shared by operator
     *equality*, so the same fragment received from several neighbours is
-    indexed (and each arrival matched) once.
+    indexed once.  Sharing saves indexing, not match calls: the node
+    event path asks each matcher it reaches through a store, and on the
+    benchmark workloads no (matcher, arrival) pair is asked twice.
+
+    Each ingest also records the arrival's *scope* (:meth:`arrival_scope`):
+    the matchers the stabbing index routed the reading to, each with its
+    first accepting slot.  The node's event path asks only those matchers
+    — every other one has no slot that accepts the reading, so its
+    answer is empty without a call.
     """
 
     _PRUNE_SWEEP_EVERY = 256
@@ -569,19 +593,30 @@ class MatchingEngine:
         self._ingest_index: dict[str, _StabbingIndex] = {}
         self._refs: dict[CorrelationOperator, int] = {}
         self._adds_since_sweep = 0
+        # The latest ingested event and its accepted set (matcher ->
+        # first accepting slot index); see arrival_scope.
+        self._arrival: SimpleEvent | None = None
+        self._accepted: dict[OperatorMatcher, int] = {}
         store.add_listener(self)
 
     # ------------------------------------------------------------------
     # EventStore listener protocol
     # ------------------------------------------------------------------
     def event_added(self, event: SimpleEvent) -> None:
+        accepted: dict[OperatorMatcher, int] = {}
         index = self._ingest_index.get(event.sensor_id)
         if index is not None:
             timestamp = event.timestamp
-            for timeline, matcher in index.targets(event.attribute, event.value):
+            for timeline, matcher, slot in index.targets(
+                event.attribute, event.value
+            ):
                 timeline.add(event)
-                if timestamp < matcher._min_ts:
-                    matcher._min_ts = timestamp
+                if matcher not in accepted:
+                    accepted[matcher] = slot
+                    if timestamp < matcher._min_ts:
+                        matcher._min_ts = timestamp
+        self._arrival = event
+        self._accepted = accepted
         self._adds_since_sweep += 1
         if self._adds_since_sweep >= self._PRUNE_SWEEP_EVERY:
             self._adds_since_sweep = 0
@@ -601,6 +636,19 @@ class MatchingEngine:
         for matcher in self._matchers.values():
             matcher.fence_sensor(sensor_id)
 
+    def arrival_scope(self, event: SimpleEvent) -> dict[OperatorMatcher, int] | None:
+        """The accepted set recorded when ``event`` was ingested.
+
+        Maps every registered matcher with a slot accepting ``event`` to
+        its first accepting slot index; a matcher absent from the map
+        cannot match the arrival.  ``None`` when ``event`` is not the
+        latest ingest, or a matcher was created or torn down since — the
+        caller then asks every matcher as before.
+        """
+        if event is self._arrival:
+            return self._accepted
+        return None
+
     # ------------------------------------------------------------------
     def matcher(self, operator: CorrelationOperator) -> OperatorMatcher:
         """Get or create (and backfill) the matcher for ``operator``."""
@@ -608,12 +656,15 @@ class MatchingEngine:
         if found is None:
             found = OperatorMatcher(operator, self)
             self._matchers[operator] = found
+            self._arrival = None  # the new matcher is missing from the scope
             found.backfill(self._store)
-            for slot, timeline in zip(found._slots, found._timelines):
+            for index, (slot, timeline) in enumerate(
+                zip(found._slots, found._timelines)
+            ):
                 for sensor_id in sorted(slot.sensors):
                     self._ingest_index.setdefault(
                         sensor_id, _StabbingIndex()
-                    ).add(slot.attribute, slot.interval, timeline, found)
+                    ).add(slot.attribute, slot.interval, timeline, found, index)
         return found
 
     def register(self, operators: Iterable[CorrelationOperator] | CorrelationOperator) -> None:
@@ -660,6 +711,7 @@ class MatchingEngine:
         matcher = self._matchers.pop(operator, None)
         if matcher is None:
             return
+        self._arrival = None
         for sensor_id in sorted(matcher.operator.sensors):
             index = self._ingest_index.get(sensor_id)
             if index is not None:

@@ -78,12 +78,16 @@ class TimelineView(Sequence[SimpleEvent]):
 class Timeline:
     """Sorted-by-(timestamp, seq, sensor) event sequence, lazily kept."""
 
-    __slots__ = ("_entries", "_dirty", "min_timestamp")
+    __slots__ = ("_entries", "_dirty", "min_timestamp", "max_timestamp")
 
     def __init__(self) -> None:
         self._entries: list[Entry] = []
         self._dirty = False
         self.min_timestamp = _INF
+        #: Newest entry's timestamp (``-inf`` when empty), exact at all
+        #: times — even before a lazy re-sort — so a stale window is
+        #: rejected without sorting or bisecting.
+        self.max_timestamp = -_INF
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -101,6 +105,8 @@ class Timeline:
         entries.append(entry)
         if event.timestamp < self.min_timestamp:
             self.min_timestamp = event.timestamp
+        if event.timestamp > self.max_timestamp:
+            self.max_timestamp = event.timestamp
 
     def entries(self) -> list[Entry]:
         """The sorted backing list (shared, do not mutate)."""
@@ -154,6 +160,9 @@ class Timeline:
             self.min_timestamp = (
                 min(entry[0] for entry in entries) if entries else _INF
             )
+            self.max_timestamp = (
+                max(entry[0] for entry in entries) if entries else -_INF
+            )
         return dropped
 
     # ------------------------------------------------------------------
@@ -167,5 +176,11 @@ class Timeline:
             return []
         removed = [entry[-1] for entry in entries[:cut]]
         del entries[:cut]
-        self.min_timestamp = entries[0][0] if entries else _INF
+        if entries:
+            self.min_timestamp = entries[0][0]
+        else:
+            # Only a full drop can move the newest entry: the cut is a
+            # prefix of the sorted list.
+            self.min_timestamp = _INF
+            self.max_timestamp = -_INF
         return removed

@@ -128,6 +128,11 @@ class CorrelationOperator:
                 (subscription_id, subscriber, ordered, delta_t, delta_l, main_slot)
             ),
         )
+        # The event path reads op_id per stored operator per arrival;
+        # build the string once.
+        tag = ",".join(s.slot_id for s in ordered)
+        kind = f"|bj:{main_slot}" if main_slot else ""
+        object.__setattr__(self, "_op_id", f"{subscription_id}[{tag}]{kind}")
 
     def __hash__(self) -> int:
         return self._hash
@@ -138,9 +143,7 @@ class CorrelationOperator:
     @property
     def op_id(self) -> str:
         """Stable human-readable identity (subscription + slot ids)."""
-        tag = ",".join(s.slot_id for s in self.slots)
-        kind = f"|bj:{self.main_slot}" if self.main_slot else ""
-        return f"{self.subscription_id}[{tag}]{kind}"
+        return self._op_id
 
     @property
     def slot_ids(self) -> frozenset[str]:

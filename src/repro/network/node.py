@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Hashable, Iterable, Iterator
 
 from ..matching.columnar import ColumnarEngine
-from ..matching.engine import MatchingEngine
+from ..matching.engine import MatchingEngine, OperatorMatcher
 from ..model.advertisements import Advertisement, AdvertisementTable
 from ..model.events import EventKey, SimpleEvent
 from ..model.matching import matches_involving as reference_matches_involving
@@ -308,18 +308,7 @@ class Node:
         from .eventstore import EventStore  # local import avoids cycles
 
         self.store = EventStore(network.validity)
-        # The incremental matching engine mirrors the event store; the
-        # columnar engine shares slot timelines across operators
-        # (Network(matching="columnar")); the reference matcher remains
-        # selectable (Network(matching="reference")) as the oracle for
-        # equivalence tests and as the recompute-on-arrival baseline
-        # for benchmarks.
-        self.matching: MatchingEngine | ColumnarEngine | None = _make_engine(
-            network.matching, self.store
-        )
-        self._columnar: ColumnarEngine | None = (
-            self.matching if isinstance(self.matching, ColumnarEngine) else None
-        )
+        self._bind_matching()
         self._sent: dict[EventKey, set[Hashable]] = {}
         self._adds_since_prune = 0
         self._seq_source = SeqSource()
@@ -409,6 +398,38 @@ class Node:
         else:  # pragma: no cover - defensive
             raise TypeError(f"unknown message {message!r}")
 
+    def _bind_matching(self) -> None:
+        """Build the matching engine over the current event store.
+
+        The incremental matching engine mirrors the event store; the
+        columnar engine shares slot timelines across operators
+        (``Network(matching="columnar")``); the reference matcher remains
+        selectable (``Network(matching="reference")``) as the oracle for
+        equivalence tests and as the recompute-on-arrival baseline for
+        benchmarks.  The typed aliases pick each engine's event path.
+        """
+        engine = _make_engine(self.network.matching, self.store)
+        self.matching: MatchingEngine | ColumnarEngine | None = engine
+        self._incremental: MatchingEngine | None = (
+            engine if isinstance(engine, MatchingEngine) else None
+        )
+        self._columnar: ColumnarEngine | None = (
+            engine if isinstance(engine, ColumnarEngine) else None
+        )
+
+    def arrival_scope(
+        self, event: SimpleEvent
+    ) -> dict[OperatorMatcher, int] | None:
+        """The incremental engine's accepted set for a fresh arrival.
+
+        Maps each matcher with a slot accepting ``event`` to that slot's
+        index (see :meth:`MatchingEngine.arrival_scope`); the event path
+        skips every other matcher without a call.  ``None`` outside the
+        incremental mode or when no scope is recorded for ``event``.
+        """
+        engine = self._incremental
+        return engine.arrival_scope(event) if engine is not None else None
+
     def store_for(self, origin: str) -> SubscriptionStore:
         store = self.stores.get(origin)
         if store is None:
@@ -422,9 +443,11 @@ class Node:
     ) -> dict[str, list[SimpleEvent]]:
         """Participants of matches ``event`` takes part in, for ``operator``.
 
-        Dispatches to the incremental engine (default) or the reference
-        window-scanning matcher (``Network(matching="reference")``);
-        both are exact and return identical participants.
+        Dispatches to the incremental engine (default), the columnar
+        shared-lane engine (``Network(matching="columnar")``) or the
+        reference window-scanning matcher
+        (``Network(matching="reference")``); all three are exact and
+        return identical participants.
         """
         if self.matching is not None:
             return self.matching.matches_involving(operator, event)
@@ -877,10 +900,7 @@ class Node:
         self.local_subscriptions = []
         self._local_by_sensor = {}
         self.store = EventStore(self.network.validity)
-        self.matching = _make_engine(self.network.matching, self.store)
-        self._columnar = (
-            self.matching if isinstance(self.matching, ColumnarEngine) else None
-        )
+        self._bind_matching()
         self._sent = {}
         self._adds_since_prune = 0
         self._seq_source = SeqSource()
@@ -931,30 +951,34 @@ class Node:
         subscriptions are checked and matching complex events delivered
         to the user.  Participants are logged for the recall metric.
         """
+        delivery = self.network.delivery
+        local = self._local_by_sensor.get(event.sensor_id, ())
         columnar = self._columnar
-        for subscription, root, matcher in self._local_by_sensor.get(
-            event.sensor_id, ()
-        ):
-            if columnar is not None and matcher is not None:
-                # Dict-free hot path: the flat participant list comes
-                # straight from the shared memoised window lists.
-                delivered = columnar.delivered_members(matcher, event)
-                if delivered is None:
-                    continue
+        if columnar is not None:
+            # One verdict pass answers every local subscription; the flat
+            # participant lists come straight from the shared memoised
+            # window lists.
+            pairs = ((entry[0].sub_id, entry[2]) for entry in local)
+            for sub_id, delivered in columnar.matched_members(pairs, event):
+                delivery.record_events(sub_id, delivered)
+                delivery.record_complex(sub_id)
+            return
+        scope = self.arrival_scope(event)
+        for subscription, root, matcher in local:
+            if scope is not None:
+                own = scope.get(matcher)
+                if own is None:
+                    continue  # no slot accepts the arrival
+                participants = matcher.matches_involving(event, own)
+            elif matcher is not None:
+                participants = matcher.matches_involving(event)
             else:
-                if matcher is not None:
-                    participants = matcher.matches_involving(event)
-                else:
-                    participants = reference_matches_involving(
-                        root, self.store, event
-                    )
-                if not participants:
-                    continue
-                delivered = [
-                    e for events in participants.values() for e in events
-                ]
-            self.network.delivery.record_events(subscription.sub_id, delivered)
-            self.network.delivery.record_complex(subscription.sub_id)
+                participants = reference_matches_involving(root, self.store, event)
+            if not participants:
+                continue
+            delivered = [e for events in participants.values() for e in events]
+            delivery.record_events(subscription.sub_id, delivered)
+            delivery.record_complex(subscription.sub_id)
 
     def split_targets(
         self, operator: CorrelationOperator, exclude: Iterable[str] = ()
@@ -993,6 +1017,7 @@ class Node:
         """
         sent = self._sent
         columnar = self._columnar
+        scope = self.arrival_scope(event)
         planned = self._planned_ops
         for neighbor in self.neighbors:
             if neighbor == sender and not planned:
@@ -1020,7 +1045,12 @@ class Node:
                         outgoing[member.key] = member
             else:
                 for operator, matcher in pairs:
-                    if matcher is not None:
+                    if scope is not None:
+                        own = scope.get(matcher)
+                        if own is None:
+                            continue  # no slot accepts the arrival
+                        participants = matcher.matches_involving(event, own)
+                    elif matcher is not None:
                         participants = matcher.matches_involving(event)
                     else:
                         participants = reference_matches_involving(
@@ -1055,6 +1085,7 @@ class Node:
         operator "generates traffic only from the node where coverage
         was detected, to the user's node").
         """
+        scope = self.arrival_scope(event)
         planned = self._planned_ops
         for neighbor in self.neighbors:
             if neighbor == sender and not planned:
@@ -1075,7 +1106,12 @@ class Node:
                     if operator.op_id in planned
                 )
             for operator, matcher in pairs:
-                if matcher is not None:
+                if scope is not None:
+                    own = scope.get(matcher)
+                    if own is None:
+                        continue  # no slot accepts the arrival
+                    participants = matcher.matches_involving(event, own)
+                elif matcher is not None:
                     participants = matcher.matches_involving(event)
                 else:
                     participants = reference_matches_involving(

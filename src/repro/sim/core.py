@@ -7,9 +7,9 @@ deterministic and seedable (see DESIGN.md, substitution table).
 
 The kernel is deliberately minimal and dependency-free:
 
-* a binary-heap agenda of ``(time, priority, seq, action)`` entries —
-  ``seq`` gives FIFO order among simultaneous events, so runs are fully
-  reproducible;
+* a binary-heap agenda of ``[time, priority, seq, action, cancelled]``
+  entries — ``seq`` gives FIFO order among simultaneous events, so runs
+  are fully reproducible;
 * callback scheduling (:meth:`Simulator.schedule` / :meth:`Simulator.at`)
   for the network substrate;
 * generator *processes* (:meth:`Simulator.process`) that ``yield`` delays
@@ -23,8 +23,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, Optional
 
 import numpy as np
 
@@ -48,13 +47,15 @@ class AgendaBudgetExceeded(SimulationError):
     """
 
 
-@dataclass(order=True)
-class _Entry:
-    time: float
-    priority: int
-    seq: int
-    action: Action = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+_Entry = list[Any]
+"""One agenda entry, ``[time, priority, seq, action, cancelled]``.
+
+A plain list, so ``heapq`` compares entries element-wise in C instead of
+through a Python-level ``__lt__``.  ``seq`` is unique, so comparison is
+decided by the first three elements and never reaches ``action``.  The
+list is mutable because :meth:`Handle.cancel` flips ``cancelled`` in
+place (lazy deletion: cancelled entries are skipped when popped).
+"""
 
 
 class Handle:
@@ -67,15 +68,17 @@ class Handle:
 
     def cancel(self) -> None:
         """Prevent the action from running (no-op if already run)."""
-        self._entry.cancelled = True
+        self._entry[4] = True
 
     @property
     def time(self) -> float:
-        return self._entry.time
+        time: float = self._entry[0]
+        return time
 
     @property
     def cancelled(self) -> bool:
-        return self._entry.cancelled
+        cancelled: bool = self._entry[4]
+        return cancelled
 
 
 class Simulator:
@@ -144,7 +147,7 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        entry = _Entry(time, priority, seq, action)
+        entry: _Entry = [time, priority, seq, action, False]
         heapq.heappush(self._agenda, entry)
         return Handle(entry)
 
@@ -232,15 +235,16 @@ class Simulator:
         self._running = True
         try:
             count = 0
-            while self._agenda:
-                entry = self._agenda[0]
-                if until is not None and entry.time > until:
+            agenda = self._agenda
+            while agenda:
+                entry = agenda[0]
+                if until is not None and entry[0] > until:
                     break
-                heapq.heappop(self._agenda)
-                if entry.cancelled:
+                heapq.heappop(agenda)
+                if entry[4]:  # cancelled
                     continue
-                self._now = entry.time
-                entry.action()
+                self._now = entry[0]
+                entry[3]()
                 self.processed_events += 1
                 count += 1
                 if max_events is not None and count >= max_events:
@@ -257,10 +261,10 @@ class Simulator:
         """Execute exactly one pending event; False when agenda is empty."""
         while self._agenda:
             entry = heapq.heappop(self._agenda)
-            if entry.cancelled:
+            if entry[4]:  # cancelled
                 continue
-            self._now = entry.time
-            entry.action()
+            self._now = entry[0]
+            entry[3]()
             self.processed_events += 1
             return True
         return False
@@ -268,7 +272,7 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of scheduled (non-cancelled) entries still queued."""
-        return sum(1 for e in self._agenda if not e.cancelled)
+        return sum(1 for e in self._agenda if not e[4])
 
     def agenda_summary(self, n: int = 5) -> list[tuple[str, int]]:
         """The ``n`` hottest pending action kinds, by callable name.
@@ -279,9 +283,9 @@ class Simulator:
         """
         kinds: Counter[str] = Counter()
         for entry in self._agenda:
-            if entry.cancelled:
+            if entry[4]:  # cancelled
                 continue
-            action = entry.action
+            action = entry[3]
             label = getattr(action, "__qualname__", None) or type(action).__name__
             kinds[label] += 1
         return kinds.most_common(n)

@@ -332,3 +332,70 @@ def test_mixed_dtype_subround_timestamps_three_way(seed):
         assert canonical(col_matcher.matches_involving(event)) == want
         compared += 1
     assert compared > 0
+
+
+_LANE_STEP = st.one_of(
+    st.tuples(
+        st.just("add"),
+        st.sampled_from(["a", "b"]),
+        st.integers(0, 30),  # timestamp, any order
+        st.integers(-2, 12),  # value
+    ),
+    st.tuples(st.just("acquire"), st.integers(-2, 8), st.integers(-1, 6)),
+    st.tuples(st.just("release"), st.integers(0, 5)),
+    st.tuples(st.just("expire"), st.integers(0, 30)),
+    st.tuples(st.just("fence"), st.sampled_from(["a", "b"]), st.integers(0, 30)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_LANE_STEP, min_size=1, max_size=40))
+def test_lane_newest_tracks_each_lane(steps):
+    """``max_timestamp`` is the newest stored entry and ``lane_newest``
+    each lane's newest accepted one, through adds in any order, lane
+    churn, expiry drops and sensor fences — exact wherever the lane
+    holds an entry, and at or below the last expiry horizon otherwise
+    (the stale-window test in the columnar engine relies on both)."""
+    from repro.matching.batch import SharedTimeline
+    from repro.subsumption.setfilter import ProbabilisticSetFilter
+
+    group = SharedTimeline("t", frozenset({"a", "b"}))
+    setfilter = ProbabilisticSetFilter()
+    lanes = []
+    horizon = -math.inf
+    for seq, step in enumerate(steps):
+        kind = step[0]
+        if kind == "add":
+            _kind, sensor, ts, value = step
+            group.add(
+                SimpleEvent(
+                    sensor, "t", Location(0.0, 0.0), float(value), float(ts), seq
+                )
+            )
+        elif kind == "acquire":
+            interval = Interval(step[1], step[1] + step[2])
+            lanes.append(group.acquire_lane(interval, setfilter))
+        elif kind == "release":
+            if lanes:
+                group.release_lane(lanes.pop(step[1] % len(lanes)))
+        elif kind == "expire":
+            horizon = max(horizon, float(step[1]))
+            group.drop_until(horizon)
+        else:
+            group.drop_sensor(step[1], float(step[2]))
+        stamps = [entry[0] for entry in group.entries()]
+        assert group.max_timestamp == (max(stamps) if stamps else -math.inf)
+        if not group.lanes:
+            assert group.lane_newest is None
+            continue
+        for lane in group.lanes:
+            accepted = [
+                entry[0]
+                for entry in group.entries()
+                if lane.lo <= entry[3].value <= lane.hi
+            ]
+            newest = group.lane_newest[lane.index]
+            if accepted:
+                assert newest == max(accepted)
+            else:
+                assert newest <= horizon

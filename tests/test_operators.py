@@ -55,6 +55,31 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CorrelationOperator("s", "n", [slot], 1.0, main_slot="zzz")
 
+    def test_op_id_cached_matches_formula(self):
+        """``op_id`` is built once at construction; it must equal the
+        subscription id, the *sorted* slot ids and the binary-join tag,
+        and survive a pickle round trip (operators cross processes in
+        sharded runs)."""
+        import pickle
+
+        def formula(op):
+            tag = ",".join(sorted(s.slot_id for s in op.slots))
+            kind = f"|bj:{op.main_slot}" if op.main_slot else ""
+            return f"{op.subscription_id}[{tag}]{kind}"
+
+        unsorted = [
+            Slot(sid, "t", Interval(0, 1), frozenset({sid})) for sid in ("c", "a", "b")
+        ]
+        ops = [CorrelationOperator("s", "n", unsorted, 1.0), *op3().binary_joins()]
+        for op in ops:
+            assert op.op_id == formula(op)
+            clone = pickle.loads(pickle.dumps(op))
+            assert clone == op and clone.op_id == op.op_id
+        assert ops[0].op_id == "s[a,b,c]"
+        assert {j.op_id for j in ops[1:]} == {
+            "s[a,b]|bj:a", "s[b,c]|bj:b", "s[a,c]|bj:c"
+        }
+
 
 class TestMatchingHelpers:
     def test_slot_accepts(self):

@@ -56,6 +56,32 @@ class TestScheduling:
         assert out == [] and handle.cancelled
         assert sim.pending == 0
 
+    def test_handle_and_agenda_views_skip_cancelled(self):
+        """Handles read and flip their agenda entry in place; the agenda
+        views and ``step`` skip cancelled entries; simultaneous entries
+        of equal priority order by sequence number alone, never by their
+        (incomparable) actions."""
+        sim = Simulator()
+        out = []
+
+        def tick():
+            out.append("tick")
+
+        keep = sim.at(2.0, tick)
+        drop = sim.at(2.0, lambda: out.append("dropped"))
+        sim.at(2.0, tick)
+        assert keep.time == 2.0 and not keep.cancelled
+        assert sim.pending == 3
+        drop.cancel()
+        assert drop.cancelled and drop.time == 2.0
+        assert sim.pending == 2
+        assert sim.agenda_summary() == [(tick.__qualname__, 2)]
+        assert sim.step() and out == ["tick"]
+        assert sim.step() and out == ["tick", "tick"]
+        assert not sim.step() and sim.pending == 0
+        keep.cancel()  # already run: a no-op
+        assert sim.processed_events == 2
+
     def test_run_until(self):
         sim = Simulator()
         out = []
