@@ -132,20 +132,22 @@ def measure_approx(
     if lane is None:
         return ApproxReport(stats=())
     fences = dict(fences or {})
-    trace = list(events)
+    # One pass over the trace: the unfenced values of each stream.
+    streams: dict[tuple[str, str], list[float]] = {}
+    for e in events:
+        fence = fences.get(e.sensor_id)
+        if fence is not None and e.timestamp <= fence:
+            continue
+        streams.setdefault((e.attribute, e.sensor_id), []).append(e.value)
     stats: list[ApproxStats] = []
     answers = lane.query_answers()
     for sub_id in sorted(answers):
         answer = answers[sub_id]
         summary = answer.summary
         values = [
-            e.value
-            for e in trace
-            if e.attribute == answer.attribute
-            and e.sensor_id in answer.sensors
-            and not (
-                e.sensor_id in fences and e.timestamp <= fences[e.sensor_id]
-            )
+            v
+            for sensor_id in sorted(answer.sensors)
+            for v in streams.get((answer.attribute, sensor_id), ())
         ]
         raw_true = sum(
             1 for v in values if answer.interval.contains(v)

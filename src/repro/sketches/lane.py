@@ -53,7 +53,7 @@ from ..model.events import SimpleEvent
 from ..model.intervals import Interval
 from .messages import SketchPushMessage, SketchSubscribeMessage
 from .multires import MultiResolution
-from .qdigest import QDigest
+from .qdigest import QDigest, merge_all
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..model.operators import CorrelationOperator
@@ -183,6 +183,9 @@ class _Hosted:
 
 _FOLD_EVERY = 32
 
+_MemoKey = tuple[str, frozenset[str], tuple[str, ...]]
+"""``(attribute, local sensors, children)``: what a broker's merge reads."""
+
 
 class SketchLane:
     """All broker-resident sketch state of one approximate-mode run."""
@@ -198,6 +201,10 @@ class SketchLane:
         self._subs: dict[str, dict[str, tuple[str, Interval]]] = {}
         self._answers: dict[str, dict[str, tuple[int, Summary]]] = {}
         self._inbox: dict[tuple[str, str, int], dict[str, Summary]] = {}
+        self._epochs: dict[str, int] = {}
+        self._memo: dict[
+            str, dict[_MemoKey, tuple[int, tuple[Summary, ...], Summary]]
+        ] = {}
 
     # ------------------------------------------------------------------
     # eligibility & registration (home node)
@@ -314,10 +321,8 @@ class SketchLane:
         box[origin] = message.summary
         if all(child in box for child in group.children):
             del self._inbox[key]
-            merged = self._local_summary(node.node_id, group)
-            for child in group.children:
-                merged = merged.merged(box[child])
-            self._emit(node, message.group_id, group, message.round_no, merged)
+            pushes = tuple(box[child] for child in group.children)
+            self._emit(node, message.group_id, group, message.round_no, pushes)
 
     # ------------------------------------------------------------------
     # push rounds
@@ -332,13 +337,7 @@ class SketchLane:
             group = self._groups[node.node_id][group_id]
             if group.children:
                 continue
-            self._emit(
-                node,
-                group_id,
-                group,
-                round_no,
-                self._local_summary(node.node_id, group),
-            )
+            self._emit(node, group_id, group, round_no, ())
 
     def _emit(
         self,
@@ -346,9 +345,9 @@ class SketchLane:
         group_id: str,
         group: _Group,
         round_no: int,
-        merged: Summary,
+        pushes: tuple[Summary, ...],
     ) -> None:
-        merged = merged.compressed()
+        merged = self._merged(node.node_id, group, pushes)
         if group.upstream is None:
             self._answers.setdefault(node.node_id, {})[group_id] = (
                 round_no,
@@ -369,14 +368,47 @@ class SketchLane:
             ),
         )
 
-    def _local_summary(self, node_id: str, group: _Group) -> Summary:
-        lo, hi = self._domains[group.attribute]
-        merged = self.config.empty_summary(group.attribute, lo, hi)
+    def _merged(
+        self, node_id: str, group: _Group, pushes: tuple[Summary, ...]
+    ) -> Summary:
+        """This broker's local summaries plus ``pushes``, compressed.
+
+        Every group view with the same :data:`_MemoKey` at a broker
+        merges the same inputs, so the result is memoised per broker.
+        A hit needs the broker's hosted-state epoch unchanged (no
+        reading folded, no sensor fenced or unfenced since) and the
+        very same child summary objects — which children that hit
+        their own memo push.  The local ``folded()`` calls a hit skips
+        had empty buffers, since the miss that stored the entry emptied
+        them and no reading arrived since; so a hit returns exactly the
+        summary a recomputation would.
+        """
+        key = (group.attribute, group.local_sensors, group.children)
+        epoch = self._epochs.get(node_id, 0)
+        memo = self._memo.setdefault(node_id, {})
+        entry = memo.get(key)
+        if (
+            entry is not None
+            and entry[0] == epoch
+            and all(a is b for a, b in zip(entry[1], pushes))
+        ):
+            return entry[2]
         hosted = self._hosted.get(node_id, {})
-        for sensor_id in sorted(group.local_sensors):
-            acc = hosted.get(sensor_id)
-            if acc is not None:
-                merged = merged.merged(acc.folded())
+        parts = [
+            hosted[sensor_id].folded()
+            for sensor_id in sorted(group.local_sensors)
+            if sensor_id in hosted
+        ]
+        parts.extend(pushes)
+        lo, hi = self._domains[group.attribute]
+        empty = self.config.empty_summary(group.attribute, lo, hi)
+        if isinstance(empty, QDigest):
+            merged: Summary = merge_all([empty, *parts])
+        else:
+            merged = empty
+            for part in parts:
+                merged = merged.merged(part)
+        memo[key] = (epoch, pushes, merged)
         return merged
 
     # ------------------------------------------------------------------
@@ -390,6 +422,7 @@ class SketchLane:
         fence = self._fences.get(node_id, {}).get(event.sensor_id)
         if fence is not None and event.timestamp <= fence:
             return  # pre-departure straggler of a retracted sensor
+        self._bump(node_id)
         hosted = self._hosted.setdefault(node_id, {})
         acc = hosted.get(event.sensor_id)
         if acc is None:
@@ -412,10 +445,16 @@ class SketchLane:
         fences = self._fences.setdefault(node_id, {})
         fences[sensor_id] = max(now, fences.get(sensor_id, float("-inf")))
         self._hosted.get(node_id, {}).pop(sensor_id, None)
+        self._bump(node_id)
 
     def unfence_sensor(self, node_id: str, sensor_id: str) -> None:
         """Churn re-join: the sensor's summary restarts from empty."""
         self._fences.get(node_id, {}).pop(sensor_id, None)
+        self._bump(node_id)
+
+    def _bump(self, node_id: str) -> None:
+        """Hosted state changed: void every memo entry of this broker."""
+        self._epochs[node_id] = self._epochs.get(node_id, 0) + 1
 
     # ------------------------------------------------------------------
     # answers
@@ -428,32 +467,45 @@ class SketchLane:
         """
         out: dict[str, ApproxAnswer] = {}
         for node_id in sorted(self._subs):
-            answers = self._answers.get(node_id, {})
-            groups = self._groups.get(node_id, {})
             for sub_id in sorted(self._subs[node_id]):
-                group_id, interval = self._subs[node_id][sub_id]
-                answer = answers.get(group_id)
-                if answer is None:
-                    continue
-                round_no, summary = answer
-                group = groups[group_id]
-                lower, upper = summary.range_count_bounds(
-                    interval.lo, interval.hi
-                )
-                out[sub_id] = ApproxAnswer(
-                    sub_id=sub_id,
-                    group_id=group_id,
-                    attribute=group.attribute,
-                    sensors=group.sensors,
-                    interval=interval,
-                    summary=summary,
-                    round_no=round_no,
-                    lower=lower,
-                    upper=upper,
-                    estimate=lower + (upper - lower) // 2,
-                )
+                answer = self._answer(node_id, sub_id)
+                if answer is not None:
+                    out[sub_id] = answer
         return out
 
     def answer_for(self, sub_id: str) -> ApproxAnswer | None:
-        """One subscription's current answer (None before any round)."""
-        return self.query_answers().get(sub_id)
+        """One subscription's current answer (None before any round).
+
+        The same answer :meth:`query_answers` holds for ``sub_id``: when
+        several homes know the id, the last in node order wins there,
+        so it is searched first here.
+        """
+        for node_id in sorted(self._subs, reverse=True):
+            answer = self._answer(node_id, sub_id)
+            if answer is not None:
+                return answer
+        return None
+
+    def _answer(self, node_id: str, sub_id: str) -> ApproxAnswer | None:
+        registered = self._subs[node_id].get(sub_id)
+        if registered is None:
+            return None
+        group_id, interval = registered
+        answer = self._answers.get(node_id, {}).get(group_id)
+        if answer is None:
+            return None
+        round_no, summary = answer
+        group = self._groups[node_id][group_id]
+        lower, upper = summary.range_count_bounds(interval.lo, interval.hi)
+        return ApproxAnswer(
+            sub_id=sub_id,
+            group_id=group_id,
+            attribute=group.attribute,
+            sensors=group.sensors,
+            interval=interval,
+            summary=summary,
+            round_no=round_no,
+            lower=lower,
+            upper=upper,
+            estimate=lower + (upper - lower) // 2,
+        )

@@ -173,22 +173,9 @@ class QDigest:
         threshold = self.n // self.k
         if threshold == 0 or not self.buckets:
             return self
-        counts = {(level, idx): c for level, idx, c in self.buckets}
-        for level in range(self.levels, 0, -1):
-            parents = sorted(
-                {idx >> 1 for lvl, idx in counts if lvl == level}
-            )
-            for parent in parents:
-                left = counts.get((level, 2 * parent), 0)
-                right = counts.get((level, 2 * parent + 1), 0)
-                if left == 0 and right == 0:
-                    continue
-                above = counts.get((level - 1, parent), 0)
-                if left + right + above <= threshold:
-                    counts.pop((level, 2 * parent), None)
-                    counts.pop((level, 2 * parent + 1), None)
-                    counts[(level - 1, parent)] = left + right + above
-        return replace(self, buckets=_canonical(counts))
+        return replace(
+            self, buckets=_compress(_rows(self.levels, (self,)), threshold)
+        )
 
     # ------------------------------------------------------------------
     # answering
@@ -253,11 +240,65 @@ def _canonical(counts: dict[tuple[int, int], int]) -> tuple[Bucket, ...]:
     )
 
 
+def _rows(levels: int, digests: Iterable[QDigest]) -> list[dict[int, int]]:
+    """The summed bucket counts of ``digests``, one ``{index: count}`` per level."""
+    rows: list[dict[int, int]] = [{} for _ in range(levels + 1)]
+    for digest in digests:
+        for level, idx, c in digest.buckets:
+            row = rows[level]
+            row[idx] = row.get(idx, 0) + c
+    return rows
+
+
+def _compress(rows: list[dict[int, int]], threshold: int) -> tuple[Bucket, ...]:
+    """Fold ``rows`` bottom-up in one walk over the levels; canonical output.
+
+    A fold moves the parent into the next level's row, where that
+    level's pass finds it.  Parents are visited in index order and a
+    fold touches only its own two children and parent, so this folds
+    exactly what a scan of every bucket at every level would.
+    """
+    for level in range(len(rows) - 1, 0, -1):
+        row = rows[level]
+        if not row:
+            continue
+        up = rows[level - 1]
+        for parent in sorted({idx >> 1 for idx in row}):
+            left = row.get(2 * parent, 0)
+            right = row.get(2 * parent + 1, 0)
+            if left == 0 and right == 0:
+                continue
+            total = left + right + up.get(parent, 0)
+            if total <= threshold:
+                row.pop(2 * parent, None)
+                row.pop(2 * parent + 1, None)
+                up[parent] = total
+    out: list[Bucket] = []
+    for level, row in enumerate(rows):
+        for idx in sorted(row):
+            c = row[idx]
+            if c > 0:
+                out.append((level, idx, c))
+    return tuple(out)
+
+
 def merge_all(digests: Sequence[QDigest]) -> QDigest:
-    """Fold a non-empty sequence of digests into one (then compress)."""
+    """Fold a non-empty sequence of digests into one, compressed.
+
+    One n-way bucket sum and one compression pass: equal to chaining
+    :meth:`QDigest.merged` over the sequence and compressing the result.
+    """
     if not digests:
         raise ValueError("merge_all needs at least one digest")
-    out = digests[0]
-    for d in digests[1:]:
-        out = out.merged(d)
-    return out.compressed()
+    first = digests[0]
+    grid = (first.k, first.levels, first.lo, first.hi)
+    n = 0
+    for d in digests:
+        if (d.k, d.levels, d.lo, d.hi) != grid:
+            raise ValueError(
+                "cannot merge digests with different grids: "
+                f"{grid} vs {(d.k, d.levels, d.lo, d.hi)}"
+            )
+        n += d.n
+    buckets = _compress(_rows(first.levels, digests), n // first.k)
+    return replace(first, n=n, buckets=buckets)

@@ -16,6 +16,7 @@ import hashlib
 import pickle
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -114,15 +115,18 @@ def test_range_bounds_contain_quantized_truth(values, k, levels, qlo, qhi):
     assert digest.error_bound <= digest.eps * max(digest.n, 1)
 
 
+ADVERSARIAL_STREAMS = {
+    "constant": [500.0] * 300,  # every value in one cell
+    "bimodal": [float(i % 2) * 1023.0 for i in range(300)],  # two extreme cells
+    "sorted": sorted((i * 7.3) % 1024 for i in range(300)),  # sorted sweep
+    "exponential": [2.0 ** (i % 10) for i in range(300)],  # clusters
+}
+
+
 @pytest.mark.parametrize(
     "stream",
-    [
-        [500.0] * 300,  # every value in one cell
-        [float(i % 2) * 1023.0 for i in range(300)],  # two extreme cells
-        sorted((i * 7.3) % 1024 for i in range(300)),  # sorted sweep
-        [2.0 ** (i % 10) for i in range(300)],  # exponential clusters
-    ],
-    ids=["constant", "bimodal", "sorted", "exponential"],
+    list(ADVERSARIAL_STREAMS.values()),
+    ids=list(ADVERSARIAL_STREAMS),
 )
 def test_adversarial_streams_respect_bound(stream):
     digest = digest_of(stream, k=8, levels=10)
@@ -141,6 +145,86 @@ def test_rank_bounds_bracket_quantized_rank(values, probe):
     lower, upper = digest.rank_bounds(probe)
     rank = sum(1 for v in values if digest.cell(v) <= digest.cell(probe))
     assert lower <= rank <= upper
+
+
+# ---------------------------------------------------------------------------
+# one-pass compression and n-way merge against the pairwise originals
+# ---------------------------------------------------------------------------
+def reference_compressed(digest: QDigest) -> QDigest:
+    """The level-scan compression: every bucket rescanned at each level."""
+    threshold = digest.n // digest.k
+    if threshold == 0 or not digest.buckets:
+        return digest
+    counts = {(level, idx): c for level, idx, c in digest.buckets}
+    for level in range(digest.levels, 0, -1):
+        parents = sorted({idx >> 1 for lvl, idx in counts if lvl == level})
+        for parent in parents:
+            left = counts.get((level, 2 * parent), 0)
+            right = counts.get((level, 2 * parent + 1), 0)
+            if left == 0 and right == 0:
+                continue
+            above = counts.get((level - 1, parent), 0)
+            if left + right + above <= threshold:
+                counts.pop((level, 2 * parent), None)
+                counts.pop((level, 2 * parent + 1), None)
+                counts[(level - 1, parent)] = left + right + above
+    buckets = tuple(
+        (level, idx, c) for (level, idx), c in sorted(counts.items()) if c > 0
+    )
+    return replace(digest, buckets=buckets)
+
+
+def reference_merge_all(digests) -> QDigest:
+    """The pairwise merge: chained ``merged`` calls, then one compression."""
+    out = digests[0]
+    for d in digests[1:]:
+        out = out.merged(d)
+    return reference_compressed(out)
+
+
+@st.composite
+def drawn_digests(draw):
+    """1-4 digests on one grid: empty, raw, compressed, merged,
+    compressed-then-extended, or built from an adversarial stream."""
+    k = draw(small_k)
+    levels = draw(levels_st)
+
+    def fresh(values):
+        return QDigest.from_values(values, k=k, levels=levels, lo=LO, hi=HI)
+
+    def one(kind):
+        if kind == "empty":
+            return QDigest(k, levels, LO, HI)
+        if kind == "raw":
+            return QDigest(k, levels, LO, HI).extended(draw(values_st))
+        if kind == "compressed":
+            return fresh(draw(values_st))
+        if kind == "merged":
+            return fresh(draw(values_st)).merged(fresh(draw(values_st)))
+        if kind == "extended":
+            return fresh(draw(values_st)).extended(draw(values_st))
+        return fresh(ADVERSARIAL_STREAMS[kind])
+
+    kinds = st.sampled_from(
+        ["empty", "raw", "compressed", "merged", "extended", *ADVERSARIAL_STREAMS]
+    )
+    return [one(draw(kinds)) for _ in range(draw(st.integers(1, 4)))]
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(digests=drawn_digests())
+def test_one_pass_digest_operations_equal_reference(digests):
+    for digest in digests:
+        once = digest.compressed()
+        assert once == reference_compressed(digest)
+        once.check_invariant()
+    merged = merge_all(digests)
+    assert merged == reference_merge_all(digests)
+    merged.check_invariant()
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +337,8 @@ def test_qdigest_validation():
         digest_of([]).merged(QDigest(9, 6, LO, HI))
     with pytest.raises(ValueError):
         merge_all([])
+    with pytest.raises(ValueError, match="different grids"):
+        merge_all([digest_of([]), digest_of([1.0]), QDigest(9, 6, LO, HI)])
 
 
 def test_sketch_config_validation():

@@ -11,10 +11,18 @@
   never discovered mid-run;
 * the null fence: ``answer_mode="exact"`` (the default) is
   bit-identical to a network built without the argument, for every
-  approach and both matching engines.
+  approach and both matching engines;
+* the per-broker merge memo: a reading, fence or unfence between two
+  groups' merges at a shared broker voids it, so each group answers
+  exactly as it would alone; without one, a broker merges once per
+  memo key; and a golden fingerprint pins answers and traffic of
+  seeded programs for both estimators.
 """
 
 from __future__ import annotations
+
+import hashlib
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -27,7 +35,7 @@ from repro.baselines import (
     operator_placement_approach,
 )
 from repro.core import filter_split_forward_approach
-from repro.model import IdentifiedSubscription
+from repro.model import IdentifiedSubscription, SimpleEvent
 from repro.model.intervals import Interval
 from repro.model.locations import RectRegion
 from repro.model.subscriptions import AbstractSubscription
@@ -36,8 +44,10 @@ from repro.network.network import Network
 from repro.network.reliability import ReliabilityConfig
 from repro.sim import Simulator
 from repro.sketches import QDigest, SketchConfig
-from repro.workload.program import WorkloadProgram
+from repro.sketches import lane as lane_module
+from repro.workload.program import WorkloadProgram, execute_program
 from repro.workload.scenarios import SKETCHES
+from repro.workload.sensorscope import ChurnConfig, DynamicReplayConfig
 from repro.workload.subscriptions import SubscriptionWorkloadConfig
 
 from deployments import line_deployment, publish
@@ -434,3 +444,187 @@ def test_session_approx_answers():
     assert set(answers) == {"q0"}
     assert answers["q0"].lower <= 1 <= answers["q0"].upper
     assert isinstance(answers["q0"].summary, QDigest)
+
+
+# ---------------------------------------------------------------------------
+# the per-broker merge memo
+# ---------------------------------------------------------------------------
+# Groups homed at u1 and u2 over every sensor share their whole push
+# tree below u1: at s_b both views read sensor b plus s_c's push, so
+# they have one memo key.  Group ids sort u1's first, so at s_b u1's
+# round-r merge always runs just before u2's, at the same instant.
+G1, G2 = "u1|t|a,b,c", "u2|t|a,b,c"
+
+
+def reading(sensor_id: str, value: float):
+    """A hook publishing one reading of ``sensor_id`` at the current instant."""
+
+    def act(network: Network) -> None:
+        placement = network.deployment.sensor_by_id(sensor_id)
+        event = SimpleEvent(
+            sensor_id, "t", placement.location, value, network.sim.now, 99
+        )
+        network.publish(placement.node_id, event)
+
+    return act
+
+
+def memo_run(homes, hooks=None):
+    """Three push rounds over groups homed at ``homes``; answers by sub.
+
+    ``hooks`` maps ``(when, node, group_id, round_no)`` to an action run
+    ``"before"`` or ``"after"`` that broker handles the group's push.
+    """
+    hooks = hooks or {}
+    network = approx_network()
+    for home in homes:
+        network.register_subscription(home, range_sub(f"q_{home}", 0.0, 10.0))
+    network.run_to_quiescence()
+    lane = network.sketches
+    handle_push = lane.handle_push
+
+    def spy(node, message, origin):
+        at = (node.node_id, message.group_id, message.round_no)
+        if ("before", *at) in hooks:
+            hooks["before", *at](network)
+        handle_push(node, message, origin)
+        if ("after", *at) in hooks:
+            hooks["after", *at](network)
+
+    lane.handle_push = spy
+    t0 = network.sim.now + 1.0
+    for i, (sensor, value) in enumerate(
+        [("a", 1.0), ("b", 2.0), ("c", 3.0), ("b", 4.0), ("a", 9.0)]
+    ):
+        publish(network, sensor, value, ts=t0 + i, seq=i)
+    publish(network, "c", 5.0, ts=t0 + 30.0, seq=10)
+    network.schedule_sketch_rounds([(t0 + 20.0 * r, r) for r in (1, 2, 3)])
+    network.run_to_quiescence()
+    return network.sketches.query_answers()
+
+
+def assert_each_group_as_alone(hooks_both, hooks_g1, hooks_g2):
+    both = memo_run(["u1", "u2"], hooks_both)
+    alone1 = memo_run(["u1"], hooks_g1)
+    alone2 = memo_run(["u2"], hooks_g2)
+    assert both["q_u1"] == alone1["q_u1"]
+    assert both["q_u2"] == alone2["q_u2"]
+    return both
+
+
+def test_memo_voided_by_reading_between_merges():
+    inject = reading("b", 6.0)
+    both = assert_each_group_as_alone(
+        {("after", "s_b", G1, 2): inject},
+        {("after", "s_b", G1, 2): inject},
+        {("before", "s_b", G2, 2): inject},
+    )
+    # Round 3 counts the reading for both; the memo must not have let
+    # u2's round-2 merge reuse u1's.
+    assert both["q_u2"].n == both["q_u1"].n == 7
+
+
+def test_memo_voided_by_fence_and_unfence_mid_round():
+    def leave(network):
+        network.detach_sensor("s_b", "b")
+
+    def rejoin(network):
+        network.attach_sensor("s_b", network.deployment.sensor_by_id("b"))
+        reading("b", 7.0)(network)
+
+    both = assert_each_group_as_alone(
+        {("after", "s_b", G1, 2): leave, ("after", "s_b", G1, 3): rejoin},
+        {("after", "s_b", G1, 2): leave, ("after", "s_b", G1, 3): rejoin},
+        {("before", "s_b", G2, 2): leave, ("before", "s_b", G2, 3): rejoin},
+    )
+    # Round 3: u1 merged before b rejoined, u2 after its fresh reading.
+    assert both["q_u1"].n == 4
+    assert both["q_u2"].n == 5
+
+
+def test_broker_merges_once_per_key(monkeypatch):
+    merges = []
+    real = lane_module.merge_all
+
+    def counting(digests):
+        merges.append(len(digests))
+        return real(digests)
+
+    monkeypatch.setattr(lane_module, "merge_all", counting)
+    network = approx_network()
+    for home in ("u1", "u2"):
+        network.register_subscription(home, range_sub(f"q_{home}", 0.0, 10.0))
+    network.run_to_quiescence()
+    t0 = network.sim.now + 1.0
+    for i, sensor in enumerate("abc"):
+        publish(network, sensor, 2.0 + i, ts=t0 + i, seq=i)
+    network.run_to_quiescence()
+
+    lane = network.sketches
+    views = [
+        (node_id, g.attribute, g.local_sensors, g.children)
+        for node_id, groups in sorted(lane._groups.items())
+        for g in groups.values()
+    ]
+    assert len(views) == 11 and len(set(views)) == 6
+
+    network.schedule_sketch_rounds([(network.sim.now + 10.0, 1)])
+    network.run_to_quiescence()
+    assert len(merges) == len(set(views))  # once per key, not per view
+
+    # No reading since: the next round reuses every broker's summary.
+    del merges[:]
+    network.schedule_sketch_rounds([(network.sim.now + 10.0, 2)])
+    network.run_to_quiescence()
+    assert merges == []
+    assert lane.answer_for("q_u2").round_no == 2
+    assert lane.answer_for("q_u2").n == 3
+
+
+# ---------------------------------------------------------------------------
+# golden fingerprint
+# ---------------------------------------------------------------------------
+def fingerprint_program(estimator: str, seed: int) -> WorkloadProgram:
+    """A seeded churning sketch program: readings, fences and rejoins."""
+    return WorkloadProgram(
+        subscriptions=replace(SKETCHES.workload_config(80), seed=seed),
+        dynamic=DynamicReplayConfig(
+            days=1, rounds_per_day=12, day_seconds=240.0, seed=seed
+        ),
+        churn=ChurnConfig(cycle_fraction=0.25, seed=seed),
+        answer_mode="approximate",
+        sketch=SketchConfig(
+            k=16, push_interval=40.0, buckets_per_unit=6, estimator=estimator
+        ),
+    )
+
+
+GOLDEN = {
+    "qdigest": "fed74427fc85793a818f794398fcc24f",
+    "multires": "5b0f8173417a49bde51e20f5e99e092d",
+}
+"""blake2b of every answer and the final traffic of seeds 3 and 4,
+recorded before the memoised one-pass merge replaced the pairwise one."""
+
+
+@pytest.mark.parametrize("estimator", sorted(GOLDEN))
+def test_golden_fingerprint(estimator):
+    digest = hashlib.blake2b(digest_size=16)
+    deployment = SKETCHES.deployment()
+    for seed in (3, 4):
+        compiled = fingerprint_program(estimator, seed).compile(deployment)
+        execution = execute_program(compiled, "fsf")
+        answers = execution.session.network.sketches.query_answers()
+        assert len(answers) == 80
+        for sub_id in sorted(answers):
+            a = answers[sub_id]
+            cells = (
+                a.summary.buckets
+                if isinstance(a.summary, QDigest)
+                else a.summary.grids
+            )
+            digest.update(
+                repr((sub_id, a.lower, a.upper, a.round_no, a.n, cells)).encode()
+            )
+        digest.update(repr(execution.final).encode())
+    assert digest.hexdigest() == GOLDEN[estimator]
