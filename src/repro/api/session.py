@@ -85,8 +85,8 @@ class Session:
         ``approach`` is a registry key (``"fsf"``, ``"naive"``,
         ``"operator_placement"``, ``"multijoin"``, ``"centralized"``) or
         an :class:`Approach` instance; ``matching`` selects the node
-        matcher (the ``"incremental"`` engine, the ``"columnar"``
-        shared-lane engine or the ``"reference"`` oracle);
+        matcher (the ``"incremental"`` engine or the ``"reference"``
+        oracle; ``Network`` refuses anything else);
         ``deployment`` overrides the generated topology.
         ``seed`` defaults to the deployment's own seed when one is
         passed (so a pre-built deployment reproduces the experiment

@@ -1,26 +1,16 @@
-"""Deprecation machinery for the public-surface migration to ``repro.api``.
+"""Deprecation warning class for the public-surface migration to ``repro.api``.
 
-Deprecated entry points keep working (they delegate to their
-replacements) but emit a :class:`ReproDeprecationWarning` — a dedicated
+A deprecated entry point keeps working (it delegates to its
+replacement) but emits a :class:`ReproDeprecationWarning` — a dedicated
 ``DeprecationWarning`` subclass so callers and CI can escalate *our*
 deprecations to errors (``warnings.simplefilter("error",
 ReproDeprecationWarning)``) without tripping over unrelated
-deprecations in third-party packages.
+deprecations in third-party packages.  No deprecated entry point is
+left; the class stays for the examples gate and any future shim.
 """
 
 from __future__ import annotations
 
-import warnings
-
 
 class ReproDeprecationWarning(DeprecationWarning):
     """A deprecated ``repro`` entry point was used."""
-
-
-def warn_deprecated(old: str, new: str, stacklevel: int = 3) -> None:
-    """Emit the standard "use the facade instead" deprecation warning."""
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead (see docs/API.md)",
-        ReproDeprecationWarning,
-        stacklevel=stacklevel,
-    )

@@ -2,22 +2,16 @@
 recompute-on-arrival (see :mod:`repro.matching.engine`).
 
 The reference semantics live in :mod:`repro.model.matching` and remain
-the machine-checked oracle; this package is the performance engine the
-node event path runs on.
+the machine-checked oracle; this package is the one production engine
+the node event path runs on.
 """
 
-from .batch import Lane, SharedTimeline
-from .columnar import ColumnarEngine, ColumnarMatcher
 from .engine import MatchingEngine, OperatorMatcher
 from .timeline import Timeline, TimelineView
 
 __all__ = [
-    "ColumnarEngine",
-    "ColumnarMatcher",
-    "Lane",
     "MatchingEngine",
     "OperatorMatcher",
-    "SharedTimeline",
     "Timeline",
     "TimelineView",
 ]

@@ -381,11 +381,6 @@ def sweep_plain(
 
     Window membership is tracked as merged index spans per slot, so
     the union over triggers materialises each entry once.
-
-    Shared verbatim between the incremental matcher and the columnar
-    core (which hands in masked per-slot entry lists): the two modes
-    run *the same* sweep, so the differential fence pins one algorithm,
-    not two implementations that happen to agree.
     """
     n = len(entries)
     spans: list[list[list[int]]] = [[] for _ in range(n)]
@@ -437,11 +432,7 @@ def sweep_plain(
 def sweep_spatial(
     slot_ids, operator, event, ordered, entries, lo, hi, own: int, event_pos: int
 ) -> dict[str, list[SimpleEvent]]:
-    """Finite ``delta_l``: grid-pruned combination search per trigger.
-
-    Shared verbatim between the incremental matcher and the columnar
-    core, same as :func:`sweep_plain`.
-    """
+    """Finite ``delta_l``: grid-pruned combination search per trigger."""
     delta_t = operator.delta_t
     delta_l = operator.delta_l
     n = len(entries)

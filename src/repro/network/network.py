@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
-from ..deprecation import warn_deprecated
 from ..model.events import SimpleEvent
 from ..model.subscriptions import Subscription
 from ..sim import AgendaBudgetExceeded, SimulationError, Simulator
@@ -66,40 +65,6 @@ class LivelockError(SimulationError):
         self.busiest_links = busiest_links
 
 
-class _DeliveryFlush:
-    """One agenda entry delivering a batch of same-instant messages.
-
-    Items are replayed in append order — identical to the order the
-    individual agenda entries would have fired — with consecutive
-    same-destination runs handed to :meth:`Node.receive_batch` so a
-    node drains a whole timestamp's arrivals in one pass.
-    """
-
-    __slots__ = ("network", "items")
-
-    def __init__(self, network: "Network", items: list) -> None:
-        self.network = network
-        self.items = items
-
-    def __call__(self) -> None:
-        nodes = self.network.nodes
-        items = self.items
-        i = 0
-        n = len(items)
-        while i < n:
-            dst = items[i][0]
-            j = i + 1
-            while j < n and items[j][0] == dst:
-                j += 1
-            if j - i == 1:
-                nodes[dst].receive(items[i][1], items[i][2])
-            else:
-                nodes[dst].receive_batch(
-                    [(message, origin) for (_d, message, origin) in items[i:j]]
-                )
-            i = j
-
-
 class Network:
     """Message fabric + bookkeeping for one simulated run."""
 
@@ -116,8 +81,11 @@ class Network:
         answer_mode: str = "exact",
         sketch: "SketchConfig | None" = None,
     ) -> None:
-        if matching not in ("incremental", "columnar", "reference"):
-            raise ValueError(f"unknown matching mode {matching!r}")
+        if matching not in ("incremental", "reference"):
+            raise ValueError(
+                f"unknown matching mode {matching!r}; "
+                "expected 'incremental' or 'reference'"
+            )
         if answer_mode not in ("exact", "approximate"):
             raise ValueError(
                 f"answer_mode must be 'exact' or 'approximate', "
@@ -141,8 +109,9 @@ class Network:
         self.latency = latency
         self.delta_t = delta_t
         # Node-level matcher implementation: the incremental engine
-        # (repro.matching) or the reference window scan — identical
-        # results, wildly different wall-clock (see BENCH_micro.json).
+        # (repro.matching), the one production engine, or the reference
+        # window scan kept as the oracle — identical results, wildly
+        # different wall-clock (see BENCH_micro.json).
         self.matching = matching
         # Event validity (Section IV-B): longer than delta_t plus the
         # worst-case transit so correlating events never expire early.
@@ -188,9 +157,6 @@ class Network:
             if answer_mode == "approximate"
             else None
         )
-        # Open delivery batch for the plain (fault-free) send path:
-        # ``(arrival_time, agenda_sequence, items)``.  See ``send``.
-        self._batch: tuple[float, int, list] | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -242,33 +208,9 @@ class Network:
             self.transport.send(src, dst, message)
             return
         self.meter.record((src, dst), message)
-        # Batch agenda execution (columnar mode only): consecutive sends
-        # targeting the same arrival instant share one agenda entry, and
-        # the flush drains a whole timestamp's deliveries through each
-        # node in one pass.  A batch stays open only while the
-        # simulator's scheduling sequence is unchanged — the batched
-        # sends are then provably consecutive in FIFO order, so no other
-        # same-instant action can sort between them and delivery order
-        # is exactly the unbatched order.  The incremental and reference
-        # modes keep the historical one-entry-per-send path.
-        if self.matching != "columnar":
-            self.sim.schedule(
-                self.latency, lambda: self.nodes[dst].receive(message, src)
-            )
-            return
-        sim = self.sim
-        when = sim.now + self.latency
-        batch = self._batch
-        if (
-            batch is not None
-            and batch[0] == when
-            and batch[1] == sim.sequence
-        ):
-            batch[2].append((dst, message, src))
-            return
-        items: list = [(dst, message, src)]
-        sim.at(when, _DeliveryFlush(self, items))
-        self._batch = (when, sim.sequence, items)
+        self.sim.schedule(
+            self.latency, lambda: self.nodes[dst].receive(message, src)
+        )
 
     def unicast(self, src: str, dst: str, message: Message) -> None:
         """Multi-hop transfer along the unique path; charged per hop.
@@ -385,14 +327,6 @@ class Network:
                 "operator placement entirely"
             )
         self.nodes[node_id].subscribe(subscription, plan)
-
-    def inject_subscription(self, node_id: str, subscription: Subscription) -> None:
-        """Deprecated alias of :meth:`register_subscription`."""
-        warn_deprecated(
-            "Network.inject_subscription",
-            "Network.register_subscription (or repro.api.Session.submit)",
-        )
-        self.register_subscription(node_id, subscription)
 
     def cancel_subscription(self, node_id: str, sub_id: str) -> bool:
         """Cancel a subscription previously registered at ``node_id``.

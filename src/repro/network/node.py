@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Hashable, Iterable, Iterator
 
-from ..matching.columnar import ColumnarEngine
 from ..matching.engine import MatchingEngine, OperatorMatcher
 from ..model.advertisements import Advertisement, AdvertisementTable
 from ..model.events import EventKey, SimpleEvent
@@ -282,17 +281,6 @@ class SubscriptionStore:
         return len(self._records)
 
 
-def _make_engine(
-    mode: str, store
-) -> "MatchingEngine | ColumnarEngine | None":
-    """Node-level matcher implementation for a ``Network.matching`` mode."""
-    if mode == "incremental":
-        return MatchingEngine(store)
-    if mode == "columnar":
-        return ColumnarEngine(store)
-    return None
-
-
 class Node:
     """Base processing node; subclasses implement the protocol hooks."""
 
@@ -348,17 +336,6 @@ class Node:
     def now(self) -> float:
         return self.network.sim.now
 
-    def receive_batch(self, batch: list[tuple[Message, str]]) -> None:
-        """Drain one same-instant delivery batch in arrival order.
-
-        The plain transport coalesces consecutive same-destination
-        deliveries of one timestamp into a single call (see
-        ``network._DeliveryFlush``); semantics are exactly sequential
-        :meth:`receive` calls.
-        """
-        for message, origin in batch:
-            self.receive(message, origin)
-
     def receive(self, message: Message, origin: str) -> None:
         """Dispatch a delivered message to the protocol hooks.
 
@@ -402,19 +379,15 @@ class Node:
         """Build the matching engine over the current event store.
 
         The incremental matching engine mirrors the event store; the
-        columnar engine shares slot timelines across operators
-        (``Network(matching="columnar")``); the reference matcher remains
-        selectable (``Network(matching="reference")``) as the oracle for
-        equivalence tests and as the recompute-on-arrival baseline for
-        benchmarks.  The typed aliases pick each engine's event path.
+        reference matcher remains selectable
+        (``Network(matching="reference")``, ``self.matching`` is then
+        None) as the oracle for equivalence tests and as the
+        recompute-on-arrival baseline for benchmarks.
         """
-        engine = _make_engine(self.network.matching, self.store)
-        self.matching: MatchingEngine | ColumnarEngine | None = engine
-        self._incremental: MatchingEngine | None = (
-            engine if isinstance(engine, MatchingEngine) else None
-        )
-        self._columnar: ColumnarEngine | None = (
-            engine if isinstance(engine, ColumnarEngine) else None
+        self.matching: MatchingEngine | None = (
+            MatchingEngine(self.store)
+            if self.network.matching == "incremental"
+            else None
         )
 
     def arrival_scope(
@@ -427,7 +400,7 @@ class Node:
         skips every other matcher without a call.  ``None`` outside the
         incremental mode or when no scope is recorded for ``event``.
         """
-        engine = self._incremental
+        engine = self.matching
         return engine.arrival_scope(event) if engine is not None else None
 
     def store_for(self, origin: str) -> SubscriptionStore:
@@ -443,11 +416,9 @@ class Node:
     ) -> dict[str, list[SimpleEvent]]:
         """Participants of matches ``event`` takes part in, for ``operator``.
 
-        Dispatches to the incremental engine (default), the columnar
-        shared-lane engine (``Network(matching="columnar")``) or the
-        reference window-scanning matcher
-        (``Network(matching="reference")``); all three are exact and
-        return identical participants.
+        Dispatches to the incremental engine (default) or the reference
+        window-scanning matcher (``Network(matching="reference")``);
+        both are exact and return identical participants.
         """
         if self.matching is not None:
             return self.matching.matches_involving(operator, event)
@@ -953,16 +924,6 @@ class Node:
         """
         delivery = self.network.delivery
         local = self._local_by_sensor.get(event.sensor_id, ())
-        columnar = self._columnar
-        if columnar is not None:
-            # One verdict pass answers every local subscription; the flat
-            # participant lists come straight from the shared memoised
-            # window lists.
-            pairs = ((entry[0].sub_id, entry[2]) for entry in local)
-            for sub_id, delivered in columnar.matched_members(pairs, event):
-                delivery.record_events(sub_id, delivered)
-                delivery.record_complex(sub_id)
-            return
         scope = self.arrival_scope(event)
         for subscription, root, matcher in local:
             if scope is not None:
@@ -1016,7 +977,6 @@ class Node:
         ``j``, at most once per link.
         """
         sent = self._sent
-        columnar = self._columnar
         scope = self.arrival_scope(event)
         planned = self._planned_ops
         for neighbor in self.neighbors:
@@ -1036,33 +996,25 @@ class Node:
                     for operator, matcher in pairs
                     if operator.op_id in planned
                 )
-            if columnar is not None:
-                # Lane-shared hot path: one stream of members across all
-                # matching operators, identical window lists offered once.
-                for member in columnar.forward_members(pairs, event):
-                    tags = sent.get(member.key)
-                    if tags is None or neighbor not in tags:
-                        outgoing[member.key] = member
-            else:
-                for operator, matcher in pairs:
-                    if scope is not None:
-                        own = scope.get(matcher)
-                        if own is None:
-                            continue  # no slot accepts the arrival
-                        participants = matcher.matches_involving(event, own)
-                    elif matcher is not None:
-                        participants = matcher.matches_involving(event)
-                    else:
-                        participants = reference_matches_involving(
-                            operator, self.store, event
-                        )
-                    for events in participants.values():
-                        for member in events:
-                            # inline was_sent — this loop touches every
-                            # participant of every matching operator
-                            tags = sent.get(member.key)
-                            if tags is None or neighbor not in tags:
-                                outgoing[member.key] = member
+            for operator, matcher in pairs:
+                if scope is not None:
+                    own = scope.get(matcher)
+                    if own is None:
+                        continue  # no slot accepts the arrival
+                    participants = matcher.matches_involving(event, own)
+                elif matcher is not None:
+                    participants = matcher.matches_involving(event)
+                else:
+                    participants = reference_matches_involving(
+                        operator, self.store, event
+                    )
+                for events in participants.values():
+                    for member in events:
+                        # inline was_sent — this loop touches every
+                        # participant of every matching operator
+                        tags = sent.get(member.key)
+                        if tags is None or neighbor not in tags:
+                            outgoing[member.key] = member
             for key, member in sorted(outgoing.items()):
                 self.mark_sent(key, neighbor)
                 self.send_event(neighbor, member)

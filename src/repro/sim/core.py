@@ -151,19 +151,6 @@ class Simulator:
         heapq.heappush(self._agenda, entry)
         return Handle(entry)
 
-    @property
-    def sequence(self) -> int:
-        """The next FIFO sequence number ``at`` will assign.
-
-        Monotone, bumped by *every* scheduling call — an unchanged value
-        between two instants proves no agenda entry was created in
-        between.  The network's delivery batching keys on this: a batch
-        of sends may share one agenda entry only while nothing else has
-        been scheduled, which guarantees no other action can sort
-        between the batched deliveries.
-        """
-        return self._seq
-
     def schedule(self, delay: float, action: Action, priority: int = 0) -> Handle:
         """Run ``action`` after ``delay`` units of virtual time."""
         if math.isnan(delay):

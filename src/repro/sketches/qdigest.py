@@ -163,12 +163,20 @@ class QDigest:
         return replace(self, n=self.n + other.n, buckets=_canonical(counts))
 
     def compressed(self) -> "QDigest":
-        """One bottom-up compression pass; idempotent.
+        """One bottom-up compression pass.
 
         Sibling pairs whose counts plus their parent's sum to at most
         ``n // k`` fold into the parent, so the digest size stays
         ``O(k * levels)`` while every internal node's count stays at
-        most ``n // k`` — the invariant the error bound rests on.
+        most ``n // k`` — the invariant the error bound rests on.  Every
+        pass keeps that invariant and the total count.
+
+        A pass is idempotent on a digest whose counts all sit at leaves
+        (a fresh :meth:`extended` digest), but not in general: once the
+        input already holds internal buckets, a fold higher up can empty
+        a parent that blocked a lower sibling pair, and a second pass
+        then folds that pair too (``tests/test_sketches.py`` pins an
+        example).
         """
         threshold = self.n // self.k
         if threshold == 0 or not self.buckets:

@@ -25,14 +25,16 @@ from repro import (
     ReproDeprecationWarning,
     Session,
     SimpleEvent,
-    quick_network,
+    execute_program,
 )
+from repro.metrics.oracle import default_oracle
 from repro.model import AbstractSubscription, Location, bounding_rect
 from repro.model.locations import CircleRegion, RectRegion
 from repro.network.network import Network
 from repro.network.topology import build_deployment
 from repro.protocols.registry import all_approaches
 from repro.sim import Simulator
+from repro.workload.program import CompiledProgram
 
 
 def small_session(approach="fsf", seed=11, **kwargs):
@@ -141,13 +143,30 @@ class TestQueryBuilder:
 
 
 class TestSession:
-    def test_create_resolves_every_approach(self):
+    def test_create_resolves_every_approach(self, monkeypatch):
         for key in all_approaches():
             session = Session.create(approach=key, nodes=18, groups=2, seed=3)
             assert session.approach.key == key
             assert len(session.network.nodes) == 18
         with pytest.raises(ValueError, match="unknown approach"):
             Session.create(approach="nope")
+        # Two matching modes exist; Network refuses the rest, by name.
+        refusal = "unknown matching mode 'columnar'.*'incremental' or 'reference'"
+        with pytest.raises(ValueError, match=refusal):
+            Session.create(matching="columnar")
+        empty = CompiledProgram(
+            deployment=build_deployment(n_nodes=18, n_groups=2, seed=3),
+            events=(),
+            churn=None,
+            admissions=(),
+            replay_start=0.0,
+            span=0.0,
+        )
+        with pytest.raises(ValueError, match=refusal):
+            execute_program(empty, "fsf", matching="columnar")
+        monkeypatch.setenv("REPRO_ORACLE", "columnar")
+        with pytest.raises(ValueError, match="REPRO_ORACLE"):
+            default_oracle()
 
     def test_ingest_builds_and_publishes(self):
         session = small_session()
@@ -603,20 +622,6 @@ class TestReentrancy:
 
 
 class TestDeprecationShims:
-    def test_quick_network_warns_and_delegates(self):
-        with pytest.warns(ReproDeprecationWarning, match="Session.create"):
-            network, deployment = quick_network(n_nodes=24, n_groups=3, seed=5)
-        assert isinstance(network, Network)
-        assert deployment.n_nodes == 24
-
-    def test_inject_subscription_warns_and_delegates(self):
-        session = small_session(seed=5)
-        sub = freeze_query(session).build(session.deployment)
-        with pytest.warns(ReproDeprecationWarning, match="register_subscription"):
-            session.network.inject_subscription("r2", sub)
-        session.drain()
-        assert "freeze-watch" in session.delivery.registered
-
     def test_facade_emits_no_deprecation_warnings(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", ReproDeprecationWarning)

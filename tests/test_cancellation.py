@@ -279,7 +279,7 @@ def test_settled_cancel_equals_never_subscribed(chunk):
     """submit → cancel → replay, bit-identical to never-subscribed.
 
     Approaches round-robin over the seeds (all five covered each chunk),
-    all three matching modes every seed; compared: replay traffic,
+    both matching modes every seed; compared: replay traffic,
     survivor deliveries and complex counts, per-node stored operators +
     coverage flags, registered matcher sets, and the cancelled queries'
     zero deliveries + zero footprint.
@@ -287,7 +287,7 @@ def test_settled_cancel_equals_never_subscribed(chunk):
     for seed in range(chunk * 10, chunk * 10 + 10):
         cancel_ids = {f"q{i:05d}" for i in ((seed % 3), 3 + (seed % 4), 7)}
         approach = APPROACH_KEYS[seed % len(APPROACH_KEYS)]
-        for matching in ("incremental", "columnar", "reference"):
+        for matching in ("incremental", "reference"):
             run = run_arena(seed, approach, matching, cancel_ids, True)
             base = run_arena(seed, approach, matching, cancel_ids, False)
             context = (seed, approach, matching)
@@ -328,14 +328,11 @@ def test_mid_flood_cancel_is_safe(chunk):
         approach = APPROACH_KEYS[seed % len(APPROACH_KEYS)]
         run = run_arena(seed, approach, "incremental", cancel_ids, True, mid_flood=True)
         base = run_arena(seed, approach, "incremental", cancel_ids, False)
-        columnar = run_arena(seed, approach, "columnar", cancel_ids, True, mid_flood=True)
         reference = run_arena(seed, approach, "reference", cancel_ids, True, mid_flood=True)
         context = (seed, approach)
-        # All three matching modes agree message-for-message even mid-flood.
+        # Both matching modes agree message-for-message even mid-flood.
         assert run["replay_traffic"] == reference["replay_traffic"], context
         assert run["delivered"] == reference["delivered"], context
-        assert columnar["replay_traffic"] == reference["replay_traffic"], context
-        assert columnar["delivered"] == reference["delivered"], context
         for sub_id in cancel_ids:
             assert not run["delivered"].get(sub_id), (context, sub_id)
             assert_no_trace(run["network"], sub_id)
@@ -406,7 +403,7 @@ def test_post_cancel_publications_never_deliver(value_a, value_b, gap, approach)
 # ---------------------------------------------------------------------------
 # oracle fencing
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("method", ["engine", "columnar", "reference"])
+@pytest.mark.parametrize("method", ["engine", "reference"])
 def test_oracle_fences_cancelled_subscriptions(method):
     """Truth with a cancellation == truth over the pre-cancel events,
     in both truth passes — exactly the departed-sensor fence contract."""
@@ -449,15 +446,11 @@ def test_oracle_engine_equals_reference_with_cancellations():
         reference = compute_truth(
             subs, deployment, shifted, method="reference", cancellations=cancelled
         )
-        for method in ("engine", "columnar"):
-            truth = compute_truth(
-                subs, deployment, shifted, method=method, cancellations=cancelled
-            )
-            for sub_id in truth:
-                assert truth[sub_id].triggers == reference[sub_id].triggers, (
-                    method,
-                    sub_id,
-                )
-                assert (
-                    truth[sub_id].participants == reference[sub_id].participants
-                ), (method, sub_id)
+        truth = compute_truth(
+            subs, deployment, shifted, method="engine", cancellations=cancelled
+        )
+        for sub_id in truth:
+            assert truth[sub_id].triggers == reference[sub_id].triggers, sub_id
+            assert (
+                truth[sub_id].participants == reference[sub_id].participants
+            ), sub_id

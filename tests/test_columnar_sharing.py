@@ -1,22 +1,23 @@
-"""Slot-sharing properties of the columnar matching engine.
+"""Index-sharing properties of the incremental matching engine.
 
-The columnar engine collapses near-duplicate operators onto shared
-refcounted structures: one :class:`~repro.matching.batch.SharedTimeline`
-per ``(attribute, sensor set)`` group, one refcounted
-:class:`~repro.matching.batch.Lane` per distinct filter interval.  None
-of that sharing may ever be *observable* — these hypothesis properties
-pin it:
+One :class:`~repro.matching.engine.MatchingEngine` routes every arrival
+through a per-sensor stabbing index shared by all registered matchers,
+and refcounts matchers through ``retain``/``release``.  None of that
+sharing may ever be *observable* — these hypothesis properties pin it
+against the reference matcher run over the same store:
 
-* a shared engine holding a whole family of near-duplicate operators
-  answers every probe exactly like isolated single-operator engines fed
-  the same event stream (sharing ≡ no sharing);
 * randomly ordered cancel/retire sequences (including double
   registrations held by the retain/release refcount) never disturb the
-  survivors' answers, and releasing the last sharer really tears the
-  shared state down;
-* ``drop_sensor`` churn fences *every* sharer of the dropped sensor's
-  timelines at once — no matcher, however it shares lanes, ever reports
-  a fenced member.
+  survivors' answers, and releasing the last reference really tears the
+  shared index down;
+* a sensor fence reaches *every* matcher drawing from the fenced
+  sensor at once — no matcher ever reports a fenced member;
+* timestamps built from ``int`` / numpy-scalar constructors answer
+  identically through the arrival scope, the unscoped engine and the
+  reference scan.
+
+The columnar engine these properties were first written for is gone;
+the module keeps its name so the test ids stay stable.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import math
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.matching.columnar import ColumnarEngine
 from repro.matching.engine import MatchingEngine
 from repro.model import (
     Interval,
@@ -47,12 +47,11 @@ _settings = settings(
 
 
 def variant_family(rng, base: CorrelationOperator, n: int):
-    """``n`` near-duplicates of ``base`` exercising every sharing tier.
+    """``n`` near-duplicates of ``base`` over the same sensors.
 
     Each variant keeps the base's ``(attribute, sensors)`` slot groups
-    (same SharedTimelines) and is one of: an exact clone (every lane
-    shared, refcount > 1), an interval jitter (same timeline, private
-    lanes), or a ``delta_t`` jitter (same lanes, different window).
+    (so every variant sits in the same stabbing-index buckets) and is
+    one of: an exact clone, an interval jitter, or a ``delta_t`` jitter.
     """
     family = []
     for i in range(n):
@@ -89,69 +88,8 @@ def canonical(answer) -> dict[str, list]:
     }
 
 
-def solo_arenas(family):
-    """One isolated (store, engine, matcher) per operator — the
-    no-sharing baseline every shared answer is compared against."""
-    arenas = []
-    for op in family:
-        store = EventStore(validity=1e9)
-        engine = ColumnarEngine(store)
-        arenas.append((store, engine, engine.matcher(op)))
-    return arenas
-
-
-@given(seed=st.integers(min_value=0, max_value=100_000))
-@_settings
-def test_shared_timelines_equal_unshared(seed):
-    """Sharing ≡ no sharing, probe for probe.
-
-    One engine holds the whole near-duplicate family (lanes shared,
-    refcounts > 1); each family member also runs alone in a private
-    engine.  Every arrival must produce identical per-operator answers
-    through both ``matches_involving`` and the bulk ``iter_matched``
-    path the node uses."""
-    rng = np.random.default_rng(seed)
-    base = random_operator(rng)
-    family = variant_family(rng, base, int(rng.integers(2, 6)))
-    events = random_events(rng, base, n=int(rng.integers(25, 45)))
-
-    shared_store = EventStore(validity=1e9)
-    shared = ColumnarEngine(shared_store)
-    op_of = {id(shared.matcher(op)): op for op in family}
-    solos = solo_arenas(family)
-
-    matched_any = 0
-    for event in events:
-        added = shared_store.add(event, now=event.timestamp)
-        for store, _engine, _matcher in solos:
-            assert store.add(event, now=event.timestamp) == added
-        if not added:
-            continue
-        bulk = {
-            op_of[id(matcher)].subscription_id: sorted(
-                {m.key for m in members}
-            )
-            for matcher, members in shared.iter_matched(event)
-        }
-        for op, (_store, _engine, solo_matcher) in zip(family, solos):
-            shared_answer = canonical(
-                shared.matches_involving(op, event)
-            )
-            solo_answer = canonical(solo_matcher.matches_involving(event))
-            assert shared_answer == solo_answer, (seed, op.subscription_id)
-            if solo_answer:
-                matched_any += 1
-                # The bulk path reports exactly the matching operators,
-                # with the union of the per-slot member lists.
-                assert bulk.get(op.subscription_id) == sorted(
-                    {k for keys in solo_answer.values() for k in keys}
-                ), (seed, op.subscription_id)
-            else:
-                assert op.subscription_id not in bulk, (
-                    seed,
-                    op.subscription_id,
-                )
-    assert len(events) > 0
+def reference_answer(op, store, event) -> dict[str, list]:
+    return canonical(reference_matches_involving(op, store, event))
 
 
 @given(seed=st.integers(min_value=0, max_value=100_000))
@@ -159,26 +97,25 @@ def test_shared_timelines_equal_unshared(seed):
 def test_random_cancel_orders_never_disturb_survivors(seed):
     """Seeded random cancel/retire order over the shared family.
 
-    Some operators are registered twice (retain/release refcount > 1);
-    releases interleave with the event stream in a random order.  After
-    every release the survivors must keep answering exactly like their
-    isolated baselines, and draining every registration must tear the
-    shared state down to nothing."""
+    Some operators are retained twice (refcount > 1); releases
+    interleave with the event stream in a random order.  After every
+    release the survivors must keep answering exactly like the
+    reference matcher over the same store, and draining every
+    registration must tear the shared state down to nothing."""
     rng = np.random.default_rng(seed)
     base = random_operator(rng)
     family = variant_family(rng, base, int(rng.integers(3, 6)))
     events = random_events(rng, base, n=int(rng.integers(25, 40)))
 
-    shared_store = EventStore(validity=1e9)
-    shared = ColumnarEngine(shared_store)
+    store = EventStore(validity=1e9)
+    engine = MatchingEngine(store)
     registrations = []  # one entry per retained reference
     for op in family:
-        shared.matcher(op)
+        engine.retain(op)
         registrations.append(op)
-        if rng.random() < 0.4:  # a second sharer of the same operator
-            shared.retain(op)
+        if rng.random() < 0.4:  # a second holder of the same operator
+            engine.retain(op)
             registrations.append(op)
-    solos = solo_arenas(family)
 
     order = list(rng.permutation(len(registrations)))
     release_at = {}  # event step -> registration indices released there
@@ -193,52 +130,48 @@ def test_random_cancel_orders_never_disturb_survivors(seed):
     for step, event in enumerate(events):
         for idx in release_at.get(step, ()):
             op = registrations[idx]
-            shared.release(op)
+            engine.release(op)
             refs[op.subscription_id] -= 1
             if refs[op.subscription_id] == 0:
                 live.discard(op.subscription_id)
-        added = shared_store.add(event, now=event.timestamp)
-        for store, _engine, _matcher in solos:
-            assert store.add(event, now=event.timestamp) == added
-        if not added:
+        if not store.add(event, now=event.timestamp):
             continue
-        for op, (_store, _engine, solo_matcher) in zip(family, solos):
+        for op in family:
             if op.subscription_id not in live:
                 continue
             assert canonical(
-                shared.matches_involving(op, event)
-            ) == canonical(solo_matcher.matches_involving(event)), (
+                engine.matches_involving(op, event)
+            ) == reference_answer(op, store, event), (
                 seed,
                 op.subscription_id,
                 step,
             )
+    assert engine.n_matchers == len(live)
     # Drain the remaining registrations: the shared structures vanish.
     for idx in order:
         op = registrations[idx]
         if refs[op.subscription_id] > 0:
-            shared.release(op)
+            engine.release(op)
             refs[op.subscription_id] -= 1
-    assert shared.n_matchers == 0
-    assert not shared._groups
-    assert not any(shared._groups_by_sensor.values())
+    assert engine.n_matchers == 0
+    assert engine._ingest_index == {}
 
 
 @given(seed=st.integers(min_value=0, max_value=100_000))
 @_settings
 def test_drop_sensor_fences_all_sharers(seed):
-    """One ``fence_sensor`` call fences every operator sharing the
-    sensor's timelines: answers stay identical to isolated engines
-    fenced the same way, and no answer ever contains a member from the
-    dropped sensor at or before the fence."""
+    """One ``fence_sensor`` call fences every operator drawing from the
+    sensor: answers stay identical to the reference over the fenced
+    store, and no answer ever contains a member from the dropped sensor
+    at or before the fence."""
     rng = np.random.default_rng(seed)
     base = random_operator(rng)
     family = variant_family(rng, base, int(rng.integers(2, 6)))
     events = random_events(rng, base, n=int(rng.integers(25, 45)))
 
-    shared_store = EventStore(validity=1e9)
-    shared = ColumnarEngine(shared_store)
-    matchers = [shared.matcher(op) for op in family]
-    solos = solo_arenas(family)
+    store = EventStore(validity=1e9)
+    engine = MatchingEngine(store)
+    matchers = [engine.retain(op) for op in family]
 
     sensors = sorted({s for slot in base.slots for s in slot.sensors})
     fenced_sensor = sensors[int(rng.integers(0, len(sensors)))]
@@ -248,24 +181,19 @@ def test_drop_sensor_fences_all_sharers(seed):
     for step, event in enumerate(events):
         if step == fence_step:
             fence_time = max(e.timestamp for e in events[:step]) if step else 0.0
-            shared_store.fence_sensor(fenced_sensor, fence_time)
-            for store, _engine, _matcher in solos:
-                store.fence_sensor(fenced_sensor, fence_time)
-        added = shared_store.add(event, now=event.timestamp)
-        for store, _engine, _matcher in solos:
-            assert store.add(event, now=event.timestamp) == added
-        if not added:
+            store.fence_sensor(fenced_sensor, fence_time)
+        if not store.add(event, now=event.timestamp):
             continue
-        for op, matcher, (_store, _engine, solo_matcher) in zip(
-            family, matchers, solos
-        ):
-            answer = canonical(shared.matches_involving(op, event))
-            assert answer == canonical(
-                solo_matcher.matches_involving(event)
-            ), (seed, op.subscription_id, step)
+        for op, matcher in zip(family, matchers):
+            answer = matcher.matches_involving(event)
+            assert canonical(answer) == reference_answer(op, store, event), (
+                seed,
+                op.subscription_id,
+                step,
+            )
             if fence_time is None:
                 continue
-            for members in matcher.matches_involving(event).values():
+            for members in answer.values():
                 for member in members:
                     assert not (
                         member.sensor_id == fenced_sensor
@@ -282,12 +210,10 @@ def test_mixed_dtype_subround_timestamps_three_way(seed):
 
     Replay rounds produce integer round boundaries, fault jitter
     produces ``np.float64`` offsets a fraction of a round wide; the
-    ``SimpleEvent`` float pin guarantees the columnar engine's float64
-    timestamp columns, the incremental engine's bisect tuples and the
-    reference scan all see the same IEEE-754 value.  Without the pin, a
-    stray int timestamp compares differently through tuple ordering
-    than through ``searchsorted``, and the three answers drift at exact
-    window edges."""
+    ``SimpleEvent`` float pin guarantees the arrival-scoped engine, the
+    unscoped engine's bisect tuples and the reference scan all see the
+    same IEEE-754 value.  Without the pin, a stray int or numpy
+    timestamp could order differently at exact window edges."""
     rng = np.random.default_rng(seed)
     operator = CorrelationOperator(
         "q",
@@ -314,88 +240,18 @@ def test_mixed_dtype_subround_timestamps_three_way(seed):
         value = float(rng.integers(-2, 13))
         events.append(SimpleEvent(sensor, "t", loc, value, ts, i))
 
-    inc_store = EventStore(validity=1e9)
-    col_store = EventStore(validity=1e9)
-    incremental = MatchingEngine(inc_store)
-    columnar = ColumnarEngine(col_store)
-    incremental.register(operator)
-    col_matcher = columnar.matcher(operator)
+    store = EventStore(validity=1e9)
+    engine = MatchingEngine(store)
+    matcher = engine.retain(operator)
     compared = 0
     for event in events:
         assert type(event.timestamp) is float
-        added = inc_store.add(event, now=event.timestamp)
-        assert col_store.add(event, now=event.timestamp) == added
-        if not added:
+        if not store.add(event, now=event.timestamp):
             continue
-        want = canonical(reference_matches_involving(operator, inc_store, event))
-        assert canonical(incremental.matches_involving(operator, event)) == want
-        assert canonical(col_matcher.matches_involving(event)) == want
+        want = reference_answer(operator, store, event)
+        assert canonical(matcher.matches_involving(event)) == want
+        own = engine.arrival_scope(event).get(matcher)
+        scoped = {} if own is None else matcher.matches_involving(event, own)
+        assert canonical(scoped) == want
         compared += 1
     assert compared > 0
-
-
-_LANE_STEP = st.one_of(
-    st.tuples(
-        st.just("add"),
-        st.sampled_from(["a", "b"]),
-        st.integers(0, 30),  # timestamp, any order
-        st.integers(-2, 12),  # value
-    ),
-    st.tuples(st.just("acquire"), st.integers(-2, 8), st.integers(-1, 6)),
-    st.tuples(st.just("release"), st.integers(0, 5)),
-    st.tuples(st.just("expire"), st.integers(0, 30)),
-    st.tuples(st.just("fence"), st.sampled_from(["a", "b"]), st.integers(0, 30)),
-)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.lists(_LANE_STEP, min_size=1, max_size=40))
-def test_lane_newest_tracks_each_lane(steps):
-    """``max_timestamp`` is the newest stored entry and ``lane_newest``
-    each lane's newest accepted one, through adds in any order, lane
-    churn, expiry drops and sensor fences — exact wherever the lane
-    holds an entry, and at or below the last expiry horizon otherwise
-    (the stale-window test in the columnar engine relies on both)."""
-    from repro.matching.batch import SharedTimeline
-    from repro.subsumption.setfilter import ProbabilisticSetFilter
-
-    group = SharedTimeline("t", frozenset({"a", "b"}))
-    setfilter = ProbabilisticSetFilter()
-    lanes = []
-    horizon = -math.inf
-    for seq, step in enumerate(steps):
-        kind = step[0]
-        if kind == "add":
-            _kind, sensor, ts, value = step
-            group.add(
-                SimpleEvent(
-                    sensor, "t", Location(0.0, 0.0), float(value), float(ts), seq
-                )
-            )
-        elif kind == "acquire":
-            interval = Interval(step[1], step[1] + step[2])
-            lanes.append(group.acquire_lane(interval, setfilter))
-        elif kind == "release":
-            if lanes:
-                group.release_lane(lanes.pop(step[1] % len(lanes)))
-        elif kind == "expire":
-            horizon = max(horizon, float(step[1]))
-            group.drop_until(horizon)
-        else:
-            group.drop_sensor(step[1], float(step[2]))
-        stamps = [entry[0] for entry in group.entries()]
-        assert group.max_timestamp == (max(stamps) if stamps else -math.inf)
-        if not group.lanes:
-            assert group.lane_newest is None
-            continue
-        for lane in group.lanes:
-            accepted = [
-                entry[0]
-                for entry in group.entries()
-                if lane.lo <= entry[3].value <= lane.hi
-            ]
-            newest = group.lane_newest[lane.index]
-            if accepted:
-                assert newest == max(accepted)
-            else:
-                assert newest <= horizon

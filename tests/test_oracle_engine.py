@@ -34,17 +34,13 @@ from test_matching_engine import random_events, random_operator
 
 
 def assert_same_truth(operator, events) -> int:
-    """All three passes agree on one operator + event set; returns
-    #triggers.  ``columnar`` rides the same probes as ``engine`` so the
-    shared-lane matcher is fenced by the identical scenario corpus."""
+    """Both passes agree on one operator + event set; returns
+    #triggers."""
     index = EventIndex(events)
     engine = operator_truth(operator, "q", index, method="engine")
     reference = operator_truth(operator, "q", index, method="reference")
-    columnar = operator_truth(operator, "q", index, method="columnar")
     assert engine.triggers == reference.triggers
     assert engine.participants == reference.participants
-    assert columnar.triggers == reference.triggers
-    assert columnar.participants == reference.participants
     # And without the participant pass (the cheap triggers-only mode).
     lean = operator_truth(
         operator, "q", index, collect_participants=False, method="engine"
@@ -88,7 +84,8 @@ class TestComputeTruthEndToEnd:
         subs = [p.subscription for p in workload]
         return deployment, subs, replay.shifted(REPLAY_START)
 
-    @pytest.mark.parametrize("method", ["engine", "columnar"])
+    # A one-value parameter keeps the test id ``[engine]`` stable.
+    @pytest.mark.parametrize("method", ["engine"])
     def test_engine_matches_reference(self, arena, method):
         deployment, subs, events = arena
         engine = compute_truth(subs, deployment, events, method=method)

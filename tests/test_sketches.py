@@ -3,7 +3,8 @@
 The algebra the push trees rely on, stated as plain equality on the
 frozen canonical form: merge is associative and commutative, so
 summaries may combine along arbitrary tree paths in arbitrary order;
-compression is idempotent and preserves the counted multiset; the
+compression keeps the invariant and the total count (and is idempotent
+from leaf-only digests, but not after a compressed digest is extended); the
 certified bracket always contains the contract truth with half-width
 at most ``error_bound <= eps * n``; and serialization is canonical —
 pickle round-trips to an equal object and the bytes are independent of
@@ -71,6 +72,35 @@ def test_compression_idempotent_and_invariant(values, k, levels):
     assert once.compressed() == once
     assert once.n == digest.n
     once.check_invariant()
+
+
+def test_compression_not_idempotent_after_extend():
+    """Regression pin: extending a compressed digest and compressing
+    twice folds further on the second pass.  The first pass folds
+    ``(1, 0)`` into the root only after ``(2, 0)`` was blocked by it."""
+    digest = QDigest.from_values(
+        [0, 0, 0, 0, 0, 128, 128, 256, 512], k=5, levels=4, lo=0, hi=1024
+    ).extended([0.0])
+    once = digest.compressed()
+    twice = once.compressed()
+    assert once.buckets == ((0, 0, 2), (2, 0, 2), (4, 0, 6))
+    assert twice.buckets == ((0, 0, 2), (1, 0, 2), (4, 0, 6))
+    for d in (once, twice):
+        d.check_invariant()
+        assert d.n == 10
+
+
+@settings(max_examples=60, deadline=None)
+@given(first=values_st, more=values_st, k=small_k, levels=levels_st)
+def test_compression_passes_keep_invariant_after_extend(first, more, k, levels):
+    """Compressed, extended, then compressed twice: each pass keeps the
+    invariant and the total count (idempotence is not claimed)."""
+    digest = digest_of(first, k=k, levels=levels).extended(more)
+    once = digest.compressed()
+    twice = once.compressed()
+    for d in (once, twice):
+        d.check_invariant()
+        assert d.n == len(first) + len(more)
 
 
 def test_compression_bounds_size():
